@@ -15,11 +15,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import client, kg, ner, reporting
+from . import client, ner, reporting
 from .corpus import CorpusValidationError, MalformedManifestError, QuizCorpus, load_corpus
 from .evaluator import RunTranscript, load_transcript, run_evaluation, score
-from .ima import analyze_images
-from .prompting import DEFAULT_ENDPOINT_URL, DEFAULT_MAX_TOKENS, DEFAULT_MODEL_ID, EngineConfig, RulesOfConduct
+from .prompting import (
+    DEFAULT_ENDPOINT_URL, DEFAULT_MAX_TOKENS, DEFAULT_MODEL_ID, EngineConfig, PromptError, RulesOfConduct,
+)
 from .reporting import RunMismatchError
 from .sampledata import materialize_sample
 
@@ -227,12 +228,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     _check_transcript_matches_corpus(transcript, corpus)
 
+    lexicon = ner.EntityLexicon.from_json_file(Path(lexicon_path)) if lexicon_path else ner.load_default_lexicon()
     if extractor_name == "gazetteer":
-        lexicon = (
-            ner.EntityLexicon.from_json_file(Path(lexicon_path))
-            if lexicon_path
-            else ner.load_default_lexicon()
-        )
         extractor = ner.GazetteerExtractor(lexicon)
     else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
@@ -241,27 +238,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"--extractor llm requires the {API_KEY_ENV_VAR} environment variable"
             )
         config = _engine_config(args, file_config)
-        lexicon = (
-            ner.EntityLexicon.from_json_file(Path(lexicon_path))
-            if lexicon_path
-            else ner.load_default_lexicon()
-        )
         extractor = ner.LlmExtractor(
             lambda text: client.complete_text(text, config, api_key), lexicon.entity_types
         )
 
     records = ner.extract_from_transcript(transcript, extractor)
-    ima_report = analyze_images(transcript)
-    correct_graph = kg.build_graph([r for r in records if r.from_correct])
-    incorrect_graph = kg.build_graph([r for r in records if not r.from_correct])
-    correct_metrics = kg.compute_metrics(correct_graph, k=top_k)
-    incorrect_metrics = kg.compute_metrics(incorrect_graph, k=top_k)
-    report = reporting.build_report(
-        transcript, ima_report, records, correct_metrics, incorrect_metrics,
-        tag_threshold=tag_threshold, top_k=top_k,
-    )
+    report = reporting.build_report(transcript, records, tag_threshold=tag_threshold, top_k=top_k)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in ("json", "csv-bundle", "dot", "graphml"):
         written.extend(reporting.export(report, fmt, out_dir))
@@ -293,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError, RunMismatchError,
+    except (ConfigError, ValueError, RunMismatchError, PromptError,
             client.MalformedFixtureError, ner.ExtractorUnavailableError,
             ner.LexiconError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -89,36 +89,22 @@ class ChatResponse:
         return f"ChatResponse({self.question_id!r}, {self.response_text[:40]!r}..., {self.latency_ms}ms)"
 
 
-def request_body(envelope: PromptEnvelope, config: EngineConfig) -> bytes:
-    """Serialize the chat-completions request; byte-identical for identical
-    (envelope, config) pairs."""
-    image_b64 = base64.b64encode(envelope.image_bytes).decode("ascii")
+def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
+    """Serialize the chat-completions request: one user message with the
+    prompt text, plus the image part when ``prompt`` is an envelope rather
+    than plain text. Byte-identical for identical (prompt, config) pairs."""
+    if isinstance(prompt, str):
+        content = [{"type": "text", "text": prompt}]
+    else:
+        image_b64 = base64.b64encode(prompt.image_bytes).decode("ascii")
+        content = [
+            {"type": "text", "text": prompt.text},
+            {"type": "image_url", "image_url": {"url": f"data:{prompt.image_media_type};base64,{image_b64}"}},
+        ]
     payload: dict = {
         "model": config.model_id,
         "max_tokens": config.max_tokens,
-        "messages": [
-            {
-                "role": "user",
-                "content": [
-                    {"type": "text", "text": envelope.text},
-                    {
-                        "type": "image_url",
-                        "image_url": {"url": f"data:{envelope.image_media_type};base64,{image_b64}"},
-                    },
-                ],
-            }
-        ],
-    }
-    if config.temperature is not None:
-        payload["temperature"] = config.temperature
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-def _text_request_body(prompt_text: str, config: EngineConfig) -> bytes:
-    payload: dict = {
-        "model": config.model_id,
-        "max_tokens": config.max_tokens,
-        "messages": [{"role": "user", "content": [{"type": "text", "text": prompt_text}]}],
+        "messages": [{"role": "user", "content": content}],
     }
     if config.temperature is not None:
         payload["temperature"] = config.temperature
@@ -227,7 +213,7 @@ def complete_text(
 ) -> str:
     """Text-only completion against the same endpoint; used by the
     model-assisted entity extractor."""
-    body = _text_request_body(prompt_text, config)
+    body = request_body(prompt_text, config)
     content, _, _ = _execute(
         config.endpoint_url,
         body,

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from .atomic import write_atomic
+
 LETTER_SEQUENCE = "ABCDE"
 MIN_CHOICES = 2
 MAX_CHOICES = 5
@@ -125,12 +127,6 @@ class QuizCorpus:
     def iter_questions(self) -> Iterator[Question]:
         for quiz in self.quizzes:
             yield from quiz.questions
-
-    def get_question(self, question_id: str) -> Question:
-        for q in self.iter_questions():
-            if q.id == question_id:
-                return q
-        raise KeyError(question_id)
 
 
 @dataclass(frozen=True)
@@ -385,8 +381,4 @@ def serialize_corpus(corpus: QuizCorpus, base_dir: str | Path) -> dict:
 def write_manifest(corpus: QuizCorpus, path: str | Path) -> Path:
     """Write the manifest-form serialization next to its images."""
     path = Path(path)
-    doc = serialize_corpus(corpus, base_dir=path.parent)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(path, json.dumps(serialize_corpus(corpus, base_dir=path.parent), indent=2) + "\n")

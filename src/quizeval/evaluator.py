@@ -10,7 +10,6 @@ and graph stages consume.
 from __future__ import annotations
 
 import json
-import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -18,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+from .atomic import write_atomic
 from .client import ChatResponse, ClientError
 from .corpus import Question, QuizCorpus
 from .prompting import EngineConfig, PromptEnvelope, RulesOfConduct, build_prompt
@@ -219,38 +219,49 @@ def score(transcript: RunTranscript) -> ScoreSummary:
     return ScoreSummary(per_quiz=per_quiz, correct=correct, total=total, ratio=ratio)
 
 
-def transcript_to_dict(transcript: RunTranscript) -> dict:
+def _scores_to_dict(transcript: RunTranscript) -> dict:
     summary = score(transcript)
+    return {
+        "per_quiz": [asdict(s) for s in summary.per_quiz],
+        "correct": summary.correct,
+        "total": summary.total,
+        "ratio": summary.ratio,
+    }
+
+
+def transcript_to_dict(transcript: RunTranscript) -> dict:
     return {
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
         "run": asdict(transcript.run),
         "verdicts": [asdict(v) for v in transcript.verdicts],
-        "scores": {
-            "per_quiz": [asdict(s) for s in summary.per_quiz],
-            "correct": summary.correct,
-            "total": summary.total,
-            "ratio": summary.ratio,
-        },
+        "scores": _scores_to_dict(transcript),
     }
 
 
 def transcript_from_dict(doc: dict) -> RunTranscript:
+    """Rebuild a transcript; any malformed document raises ValueError: wrong
+    shape or keys, a verdict whose ``is_correct`` breaks the scoring rule,
+    or stored scores that differ from the verdicts' scores."""
     if not isinstance(doc, dict) or doc.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
         raise ValueError(f"not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript document")
-    run = RunMetadata(**doc["run"])
-    verdicts = tuple(Verdict(**v) for v in doc["verdicts"])
-    return RunTranscript(run=run, verdicts=verdicts)
+    try:
+        transcript = RunTranscript(
+            run=RunMetadata(**doc["run"]), verdicts=tuple(Verdict(**v) for v in doc["verdicts"])
+        )
+        scores = _scores_to_dict(transcript)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed transcript: {exc}") from exc
+    for v in transcript.verdicts:
+        if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
+            raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
+    if doc.get("scores") != scores:
+        raise ValueError("stored scores differ from the scores of the verdicts")
+    return transcript
 
 
 def save_transcript(transcript: RunTranscript, path: str | Path) -> Path:
     """Persist the transcript as stable, sorted-key JSON (atomic write)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(transcript_to_dict(transcript), indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(path, json.dumps(transcript_to_dict(transcript), indent=2, sort_keys=True) + "\n")
 
 
 def load_transcript(path: str | Path) -> RunTranscript:

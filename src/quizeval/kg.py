@@ -12,11 +12,9 @@ E / (N(N-1)) for directed ones, undefined when N < 2.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 from typing import Iterable, Mapping
 from xml.sax.saxutils import escape, quoteattr
 
@@ -235,19 +233,3 @@ def graph_to_graphml(graph: EntityGraph) -> str:
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
-
-
-def _write_atomic(text: str, path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
-def write_dot(graph: EntityGraph, path: str | Path, name: str = "entities") -> Path:
-    return _write_atomic(graph_to_dot(graph, name), Path(path))
-
-
-def write_graphml(graph: EntityGraph, path: str | Path) -> Path:
-    return _write_atomic(graph_to_graphml(graph), Path(path))

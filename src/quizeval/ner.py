@@ -11,13 +11,14 @@ entities co-occurring in one group later become graph edges.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
+
+from .atomic import write_csv
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -238,11 +239,6 @@ def entity_frequencies(
 
 
 def write_records_csv(records: Iterable[EntityRecord], path: str | Path) -> Path:
-    """Dump records as CSV: entity_type, entity_name, group, from_correct."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["entity_type", "entity_name", "group", "from_correct"])
-        for record in records:
-            writer.writerow([record.entity_type, record.entity_name, record.group, record.from_correct])
-    return path
+    """Dump records as CSV: entity_type, entity_name, group, from_correct (atomic write)."""
+    rows = ((r.entity_type, r.entity_name, r.group, r.from_correct) for r in records)
+    return write_csv(path, ["entity_type", "entity_name", "group", "from_correct"], rows)

@@ -10,17 +10,15 @@ number in a WeakPath also appears in the report's own tables.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .evaluator import RunTranscript, ScoreSummary, score
+from .atomic import write_atomic, write_csv
+from .evaluator import QuizScore, RunTranscript, ScoreSummary, score
 from .ima import IMAReport, analyze_images, ima_rows
-from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics
+from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
 from .ner import EntityRecord, entity_frequencies
 
 REPORT_SCHEMA_VERSION = 1
@@ -34,7 +32,8 @@ KIND_DENSE_FAILURE_CLUSTER = "DenseFailureCluster"
 
 
 class RunMismatchError(Exception):
-    """The inputs to build_report do not come from the same run."""
+    """The entity records (or, in the CLI, the corpus) do not come from the
+    transcript's run."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,7 @@ def _r4(value: float | None) -> float | None:
     return None if value is None else round(value, 4)
 
 
-def _check_same_run(
-    transcript: RunTranscript, ima_report: IMAReport, records: list[EntityRecord]
-) -> None:
-    if analyze_images(transcript) != ima_report:
-        raise RunMismatchError("tag report does not match the transcript's verdicts")
+def _check_same_run(transcript: RunTranscript, records: list[EntityRecord]) -> None:
     count = len(transcript.verdicts)
     for record in records:
         if not (0 <= record.group < count):
@@ -77,36 +72,17 @@ def _check_same_run(
             )
 
 
-def _check_metrics_match(branch: str, graph: EntityGraph, provided: GraphMetrics) -> None:
-    fresh = compute_metrics(graph, k=max(1, len(provided.top_degree) or 1))
-    same_density = (
-        fresh.density is None
-        and provided.density is None
-        or (
-            fresh.density is not None
-            and provided.density is not None
-            and math.isclose(fresh.density, provided.density, abs_tol=1e-9)
-        )
-    )
-    if (
-        fresh.node_count != provided.node_count
-        or fresh.edge_count != provided.edge_count
-        or fresh.component_count != provided.component_count
-        or not same_density
-    ):
-        raise RunMismatchError(f"{branch}-branch metrics do not match the entity records")
-
-
 def derive_requirements(
     ima_report: IMAReport,
-    incorrect_graph: EntityGraph,
     correct_metrics: GraphMetrics,
     incorrect_metrics: GraphMetrics,
     *,
     tag_threshold: int = DEFAULT_TAG_THRESHOLD,
-    top_k: int = DEFAULT_TOP_K,
 ) -> tuple[WeakPath, ...]:
-    """Derive the requirement list (a pure function of the report tables)."""
+    """Derive the requirement list (a pure function of the report tables).
+
+    The high-degree failure entities are ``incorrect_metrics.top_degree``,
+    so their number is the ``k`` those metrics were computed with."""
     paths: list[WeakPath] = []
     for tag in sorted(ima_report.incorrect_only_tags):
         paths.append(
@@ -136,13 +112,8 @@ def derive_requirements(
                 },
             )
         )
-    from .kg import top_degree as _top_degree
-
-    if incorrect_graph.nodes:
-        for name, degree in _top_degree(incorrect_graph, top_k):
-            paths.append(
-                WeakPath(kind=KIND_HIGH_DEGREE_FAILURE, subject=name, evidence={"degree": degree})
-            )
+    for name, degree in incorrect_metrics.top_degree:
+        paths.append(WeakPath(kind=KIND_HIGH_DEGREE_FAILURE, subject=name, evidence={"degree": degree}))
     if (
         correct_metrics.density is not None
         and incorrect_metrics.density is not None
@@ -163,26 +134,25 @@ def derive_requirements(
 
 def build_report(
     transcript: RunTranscript,
-    ima_report: IMAReport,
     entity_records: list[EntityRecord],
-    correct_metrics: GraphMetrics,
-    incorrect_metrics: GraphMetrics,
     *,
     tag_threshold: int = DEFAULT_TAG_THRESHOLD,
     top_k: int = DEFAULT_TOP_K,
 ) -> AnalysisReport:
-    """Assemble the full analysis report for one run.
+    """Analyse one run: tag histograms, per-branch entity frequencies,
+    graphs and metrics (top ``top_k`` nodes by degree), and the derived
+    requirements.
 
-    The branch graphs are rebuilt here from the entity records (they are
-    part of the report so exports and reloads are self-contained); the
-    caller's metrics are cross-checked against them and a RunMismatchError
-    is raised when any input belongs to a different run.
+    ``entity_records`` are the run's extracted entities (see
+    ``ner.extract_from_transcript``); a RunMismatchError is raised when
+    one of them does not belong to a verdict of ``transcript``.
     """
-    _check_same_run(transcript, ima_report, entity_records)
+    _check_same_run(transcript, entity_records)
+    ima_report = analyze_images(transcript)
     correct_graph = build_graph([r for r in entity_records if r.from_correct])
     incorrect_graph = build_graph([r for r in entity_records if not r.from_correct])
-    _check_metrics_match("correct", correct_graph, correct_metrics)
-    _check_metrics_match("incorrect", incorrect_graph, incorrect_metrics)
+    correct_metrics = compute_metrics(correct_graph, k=top_k)
+    incorrect_metrics = compute_metrics(incorrect_graph, k=top_k)
 
     types = sorted({r.entity_type for r in entity_records})
     entity_freq = {
@@ -190,12 +160,7 @@ def build_report(
         "incorrect": {t: entity_frequencies(entity_records, t, False) for t in types},
     }
     requirements = derive_requirements(
-        ima_report,
-        incorrect_graph,
-        correct_metrics,
-        incorrect_metrics,
-        tag_threshold=tag_threshold,
-        top_k=top_k,
+        ima_report, correct_metrics, incorrect_metrics, tag_threshold=tag_threshold
     )
     return AnalysisReport(
         run=asdict(transcript.run),
@@ -291,8 +256,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
 def report_from_dict(doc: dict) -> AnalysisReport:
     if not isinstance(doc, dict) or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(f"not a version-{REPORT_SCHEMA_VERSION} report document")
-    from .evaluator import QuizScore
-
     scores = ScoreSummary(
         per_quiz=tuple(QuizScore(**s) for s in doc["scores"]["per_quiz"]),
         correct=doc["scores"]["correct"],
@@ -322,26 +285,6 @@ def report_from_dict(doc: dict) -> AnalysisReport:
     )
 
 
-def _write_atomic_text(text: str, path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
-def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(list(row))
-    os.replace(tmp, path)
-    return path
-
-
 def export(report: AnalysisReport, format: str, destination: str | Path) -> list[Path]:
     """Write the report in one format under ``destination``.
 
@@ -349,20 +292,18 @@ def export(report: AnalysisReport, format: str, destination: str | Path) -> list
     table), "dot" and "graphml" (one file per branch graph). All writes are
     atomic (temp file + rename).
     """
-    from .kg import graph_to_dot, graph_to_graphml
-
     destination = Path(destination)
     written: list[Path] = []
     if format == "json":
         text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-        written.append(_write_atomic_text(text, destination / "report.json"))
+        written.append(write_atomic(destination / "report.json", text))
     elif format == "csv-bundle":
         summary = report.scores
         score_rows = [[s.quiz_id, s.correct, s.total, _r4(s.correct / s.total if s.total else 0.0)] for s in summary.per_quiz]
         score_rows.append(["TOTAL", summary.correct, summary.total, _r4(summary.ratio)])
-        written.append(_write_csv(destination / "scores.csv", ["quiz_id", "correct", "total", "ratio"], score_rows))
+        written.append(write_csv(destination / "scores.csv", ["quiz_id", "correct", "total", "ratio"], score_rows))
         written.append(
-            _write_csv(
+            write_csv(
                 destination / "ima.csv",
                 ["tag", "correct", "incorrect", "error_rate"],
                 [(t, c, i, _r4(r)) for t, c, i, r in ima_rows(report.ima)],
@@ -375,7 +316,7 @@ def export(report: AnalysisReport, format: str, destination: str | Path) -> list
             for name, count in names.items()
         ]
         written.append(
-            _write_csv(
+            write_csv(
                 destination / "entity_frequencies.csv",
                 ["branch", "entity_type", "entity_name", "groups"],
                 freq_rows,
@@ -388,33 +329,25 @@ def export(report: AnalysisReport, format: str, destination: str | Path) -> list
                 [branch, metrics.node_count, metrics.edge_count, _r4(metrics.density), metrics.component_count, top]
             )
         written.append(
-            _write_csv(
+            write_csv(
                 destination / "graph_metrics.csv",
                 ["branch", "nodes", "edges", "density", "components", "top_degree"],
                 metric_rows,
             )
         )
         written.append(
-            _write_csv(
+            write_csv(
                 destination / "requirements.csv",
                 ["kind", "subject", "evidence"],
                 [(w.kind, w.subject, json.dumps(dict(w.evidence), sort_keys=True)) for w in report.requirements],
             )
         )
     elif format == "dot":
-        written.append(
-            _write_atomic_text(graph_to_dot(report.correct_graph, "correct_branch"), destination / "correct_graph.dot")
-        )
-        written.append(
-            _write_atomic_text(
-                graph_to_dot(report.incorrect_graph, "incorrect_branch"), destination / "incorrect_graph.dot"
-            )
-        )
+        for branch, graph in (("correct", report.correct_graph), ("incorrect", report.incorrect_graph)):
+            written.append(write_atomic(destination / f"{branch}_graph.dot", graph_to_dot(graph, f"{branch}_branch")))
     elif format == "graphml":
-        written.append(_write_atomic_text(graph_to_graphml(report.correct_graph), destination / "correct_graph.graphml"))
-        written.append(
-            _write_atomic_text(graph_to_graphml(report.incorrect_graph), destination / "incorrect_graph.graphml")
-        )
+        for branch, graph in (("correct", report.correct_graph), ("incorrect", report.incorrect_graph)):
+            written.append(write_atomic(destination / f"{branch}_graph.graphml", graph_to_graphml(graph)))
     else:
         raise ValueError(f"unknown export format {format!r}")
     return written

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -119,6 +121,18 @@ class TestRun:
             run_cli("run", "--backend", "teapot")
         assert excinfo.value.code == 1
 
+    def test_rules_file_without_marker_exits_one(self, sample_paths, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("Answer the question with one letter.")
+        code = run_cli(
+            "run", "--manifest", str(sample_paths.manifest),
+            "--backend", "replay", "--fixture", str(sample_paths.fixture),
+            "--rules-file", str(rules), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "error: MarkerMissingError: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "transcript.json").exists()
+
 
 @pytest.fixture
 def analyzed(sample_paths, tmp_path, capsys):
@@ -185,6 +199,17 @@ class TestAnalyze:
         assert code == 1
         assert "RunMismatch" in capsys.readouterr().err
 
+    def test_malformed_transcript_exits_one(self, analyzed, sample_paths, tmp_path, capsys):
+        run_out, _ = analyzed
+        doc = json.loads((run_out / "transcript.json").read_text())
+        doc["run"]["seed"] = 7
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = run_cli("analyze", "--transcript", str(broken), "--manifest", str(sample_paths.manifest),
+                       "--out", str(tmp_path / "broken-out"))
+        assert code == 1
+        assert "error: ValueError: malformed transcript" in capsys.readouterr().err
+
     def test_all_correct_transcript_degenerate_branch(self, manifest_factory, tmp_path, capsys):
         questions = [make_question(f"q{i}", correct="A") for i in range(3)]
         path = manifest_factory(make_manifest({"qz1": questions}))
@@ -230,3 +255,42 @@ class TestSample:
         run_cli("sample", "--out", str(second))
         assert (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
         assert (first / "replay_fixture.json").read_bytes() == (second / "replay_fixture.json").read_bytes()
+
+
+def _digest(path, *, drop_timestamp: bool = False) -> str:
+    data = path.read_bytes()
+    if drop_timestamp:
+        data, count = re.subn(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+        assert count == 1
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of every file of the sample's `run` + `analyze` outputs, timestamps
+# blanked. A refactor of the pipeline must leave all of them unchanged.
+GOLDEN_DIGESTS = {
+    "transcript.json": "988e6830e00720fd1c6b139763e88f9b78f526f310278f7cb0e8c03527dc5a86",
+    "correct_graph.dot": "42480f8aa0031ebdf6d6e08fcd652c139ccd00e015500bdbdc4c21c766aaf127",
+    "correct_graph.graphml": "dfaad9e8c6bc2b69f979a05ccc004b2d641f40bc582b5e5392cf97f95a89b0aa",
+    "entities.csv": "afa2779882dc8fb59fa760e6363c59a74907064790224de5fb46d949ad61d42f",
+    "entity_frequencies.csv": "4d9268045fe97573a044b0ded815213e23cc1a2744b153eb2801f70e20eb3b44",
+    "graph_metrics.csv": "3e9fe6c27fd153991c5fa51742afe7ea20c5d357dc339069c75e59b1779aaae1",
+    "ima.csv": "f8e5074bd3146b923b59bca9ab2cdca8e33ec1e65cb917cf6581340c552b3506",
+    "incorrect_graph.dot": "6a23705c015ee8ec60833058006486ac57d255ac5ba826fa4795034200e96251",
+    "incorrect_graph.graphml": "f11b4a38f153dbda9151f9e5f5c69807564248ddf06ce76b5fc3c962e7c436af",
+    "report.json": "05f4e3158a226d3564bf8fbeb44655621b5c7b487d10769f2bc63eeb5cb02428",
+    "requirements.csv": "f66ff49624c0ed17ddd919331546bae6943ccc07dcfc90b201d0c787350003ca",
+    "scores.csv": "5fd0e5584772d4d6b2697d83582a95cc0a825f1f813866e62e890cd9f6622418",
+}
+
+
+def test_sample_outputs_are_byte_stable(tmp_path, capsys):
+    sample, run_out, analysis_out = tmp_path / "sample", tmp_path / "run", tmp_path / "analysis"
+    assert run_cli("sample", "--out", str(sample)) == 0
+    assert run_cli("run", "--manifest", str(sample / "manifest.json"), "--backend", "replay",
+                   "--fixture", str(sample / "replay_fixture.json"), "--out", str(run_out)) == 0
+    assert run_cli("analyze", "--transcript", str(run_out / "transcript.json"),
+                   "--manifest", str(sample / "manifest.json"), "--out", str(analysis_out)) == 0
+    digests = {"transcript.json": _digest(run_out / "transcript.json", drop_timestamp=True)}
+    for path in sorted(analysis_out.iterdir()):
+        digests[path.name] = _digest(path, drop_timestamp=path.name == "report.json")
+    assert digests == GOLDEN_DIGESTS

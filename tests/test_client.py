@@ -118,6 +118,16 @@ class TestRequestBody:
     def test_byte_identical_for_identical_inputs(self):
         assert request_body(envelope(), CONFIG) == request_body(envelope(), CONFIG)
 
+    def test_wire_bytes_pinned(self):
+        config = EngineConfig(endpoint_url=CONFIG.endpoint_url, temperature=0.2)
+        head = b'{"max_tokens": 4000, "messages": [{"content": [{"text": '
+        tail = b'], "role": "user"}], "model": "gpt-4-vision-preview", "temperature": 0.2}'
+        assert request_body(envelope(), config) == head + (
+            b'"Rules. Correct Choice:(letter)\\n\\nStem.\\n\\nA. one\\nB. two", "type": "text"}, '
+            b'{"image_url": {"url": "data:image/png;base64,iVBOR2J5dGVz"}, "type": "image_url"}'
+        ) + tail
+        assert request_body("find entities", config) == head + b'"find entities", "type": "text"}' + tail
+
 
 class TestLiveCompletion:
     def test_success(self):

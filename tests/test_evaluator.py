@@ -14,6 +14,8 @@ from quizeval.evaluator import (
     run_evaluation,
     save_transcript,
     score,
+    transcript_from_dict,
+    transcript_to_dict,
 )
 from quizeval.prompting import EngineConfig, RulesOfConduct
 
@@ -215,3 +217,41 @@ class TestPersistence:
         save_transcript(sample_transcript, first)
         save_transcript(sample_transcript, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestTranscriptValidation:
+    """Every malformed transcript document is a ValueError, never a raw
+    TypeError/KeyError or a silently accepted run."""
+
+    @pytest.fixture
+    def doc(self, sample_transcript):
+        return transcript_to_dict(sample_transcript)
+
+    def test_non_object_verdict(self, doc):
+        doc["verdicts"][3] = ["not", "an", "object"]
+        with pytest.raises(ValueError, match="malformed"):
+            transcript_from_dict(doc)
+
+    def test_unknown_run_key(self, doc):
+        doc["run"]["seed"] = 7
+        with pytest.raises(ValueError, match="malformed"):
+            transcript_from_dict(doc)
+
+    def test_missing_verdict_key(self, doc):
+        del doc["verdicts"][0]["raw_response"]
+        with pytest.raises(ValueError, match="malformed"):
+            transcript_from_dict(doc)
+
+    def test_is_correct_contradicts_letters(self, doc, sample_transcript):
+        verdict = next(v for v in doc["verdicts"] if not v["is_correct"])
+        verdict["is_correct"] = True
+        # Stored scores agree with the flipped verdict, so only the rule can catch it.
+        rescored = RunTranscript(run=sample_transcript.run, verdicts=tuple(Verdict(**v) for v in doc["verdicts"]))
+        doc["scores"] = transcript_to_dict(rescored)["scores"]
+        with pytest.raises(ValueError, match="is_correct"):
+            transcript_from_dict(doc)
+
+    def test_stored_scores_differ(self, doc):
+        doc["scores"]["correct"] += 1
+        with pytest.raises(ValueError, match="scores"):
+            transcript_from_dict(doc)

@@ -19,8 +19,6 @@ from quizeval.kg import (
     graph_to_dot,
     graph_to_graphml,
     top_degree,
-    write_dot,
-    write_graphml,
 )
 from quizeval.ner import EntityRecord
 
@@ -267,13 +265,6 @@ class TestExports:
         types = {n.get("id"): n.find(f"{ns}data").text for n in nodes}
         assert types == {"alpha": "ORGAN", "beta": "DISEASE", "gamma": "CONDITION"}
         assert all(e.find(f"{ns}data").text == "1" for e in edges)
-
-    def test_writers_create_files(self, tmp_path):
-        graph = self.triangle()
-        dot_path = write_dot(graph, tmp_path / "g.dot")
-        graphml_path = write_graphml(graph, tmp_path / "g.graphml")
-        assert dot_path.read_text().startswith("graph ")
-        assert ET.fromstring(graphml_path.read_text()) is not None
 
 
 class TestOracleSuite:

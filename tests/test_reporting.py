@@ -65,20 +65,10 @@ def small_run():
     return transcript, records
 
 
-def report_for(transcript, records, **kwargs):
-    ima = analyze_images(transcript)
-    correct_graph = build_graph([r for r in records if r.from_correct])
-    incorrect_graph = build_graph([r for r in records if not r.from_correct])
-    return build_report(
-        transcript, ima, records,
-        compute_metrics(correct_graph), compute_metrics(incorrect_graph), **kwargs,
-    )
-
-
 class TestRequirements:
     def test_all_kinds_derived(self):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         kinds = {w.kind for w in report.requirements}
         assert kinds == {
             KIND_INCORRECT_ONLY_TAG,
@@ -93,13 +83,13 @@ class TestRequirements:
 
     def test_tag_threshold_configurable(self):
         transcript, records = small_run()
-        report = report_for(transcript, records, tag_threshold=1)
+        report = build_report(transcript, records, tag_threshold=1)
         concentrated = {w.subject for w in report.requirements if w.kind == KIND_TAG_CONCENTRATION}
         assert concentrated == {"CV", "EYE"}
 
     def test_top_k_limits_failure_entities(self):
         transcript, records = small_run()
-        report = report_for(transcript, records, top_k=2)
+        report = build_report(transcript, records, top_k=2)
         failures = [w for w in report.requirements if w.kind == KIND_HIGH_DEGREE_FAILURE]
         assert len(failures) == 2
         assert failures[0].subject in {"Aneurysm", "Dissection"}
@@ -112,14 +102,14 @@ class TestRequirements:
                       verdict("q1", "CV", True, "lung. Correct Choice:A")),
         )
         records = [EntityRecord("BODY PART", "Tissue", 0, True), EntityRecord("ORGAN", "Lung", 1, True)]
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         kinds = {w.kind for w in report.requirements}
         assert KIND_DENSE_FAILURE_CLUSTER not in kinds
         assert report.incorrect_metrics.density is None
 
     def test_dense_cluster_evidence_matches_metrics(self):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         (cluster,) = [w for w in report.requirements if w.kind == KIND_DENSE_FAILURE_CLUSTER]
         assert cluster.evidence["incorrect_density"] == round(report.incorrect_metrics.density, 4)
         assert cluster.evidence["correct_density"] == round(report.correct_metrics.density, 4)
@@ -127,7 +117,7 @@ class TestRequirements:
 
     def test_evidence_appears_in_report_tables(self):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         doc = report_to_dict(report)
         for weak_path in doc["requirements"]:
             evidence = weak_path["evidence"]
@@ -149,58 +139,54 @@ class TestRunMismatch:
         transcript, records = small_run()
         bad = records + [EntityRecord("ORGAN", "Liver", 99, False)]
         with pytest.raises(RunMismatchError):
-            report_for(transcript, bad)
+            build_report(transcript, bad)
 
     def test_record_flag_disagrees_with_verdict(self):
         transcript, records = small_run()
         bad = records + [EntityRecord("ORGAN", "Liver", 0, False)]  # verdict 0 is correct
         with pytest.raises(RunMismatchError):
-            report_for(transcript, bad)
+            build_report(transcript, bad)
 
-    def test_foreign_ima_report(self):
+    def test_records_of_a_longer_run(self):
         transcript, records = small_run()
-        other = dataclasses.replace(
-            transcript, verdicts=transcript.verdicts[:-1]
-        )
-        ima_other = analyze_images(other)
+        shorter = dataclasses.replace(transcript, verdicts=transcript.verdicts[:-1])
+        with pytest.raises(RunMismatchError):
+            build_report(shorter, records)
+
+    def test_tables_derive_from_the_inputs(self):
+        transcript, records = small_run()
+        report = build_report(transcript, records, top_k=2)
+        assert report.ima == analyze_images(transcript)
         correct_graph = build_graph([r for r in records if r.from_correct])
         incorrect_graph = build_graph([r for r in records if not r.from_correct])
-        with pytest.raises(RunMismatchError):
-            build_report(transcript, ima_other, records,
-                         compute_metrics(correct_graph), compute_metrics(incorrect_graph))
-
-    def test_foreign_metrics(self):
-        transcript, records = small_run()
-        ima = analyze_images(transcript)
-        correct_graph = build_graph([r for r in records if r.from_correct])
-        with pytest.raises(RunMismatchError):
-            build_report(transcript, ima, records,
-                         compute_metrics(correct_graph), compute_metrics(correct_graph))
+        assert (report.correct_graph, report.incorrect_graph) == (correct_graph, incorrect_graph)
+        assert report.correct_metrics == compute_metrics(correct_graph, k=2)
+        assert report.incorrect_metrics == compute_metrics(incorrect_graph, k=2)
 
 
 class TestSerialization:
     def test_json_round_trip_is_identity(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         (path,) = export(report, "json", tmp_path)
         reloaded = load_report(path)
         assert report_to_dict(reloaded) == report_to_dict(report)
 
     def test_dict_round_trip(self):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         assert report_to_dict(report_from_dict(report_to_dict(report))) == report_to_dict(report)
 
     def test_deterministic_bytes(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         (first,) = export(report, "json", tmp_path / "a")
         (second,) = export(report, "json", tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
 
     def test_floats_have_at_most_four_decimals(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         (path,) = export(report, "json", tmp_path)
         doc = json.loads(path.read_text())
 
@@ -224,7 +210,7 @@ class TestSerialization:
 class TestExport:
     def test_csv_bundle_inventory(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         written = export(report, "csv-bundle", tmp_path)
         assert sorted(p.name for p in written) == [
             "entity_frequencies.csv", "graph_metrics.csv", "ima.csv", "requirements.csv", "scores.csv",
@@ -237,7 +223,7 @@ class TestExport:
 
     def test_dot_export_of_triangle(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         export(report, "dot", tmp_path)
         # incorrect graph group 2 is the triangle {Dissection, Aneurysm, Aorta}
         text = (tmp_path / "incorrect_graph.dot").read_text()
@@ -247,19 +233,19 @@ class TestExport:
 
     def test_graphml_export(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         written = export(report, "graphml", tmp_path)
         assert sorted(p.name for p in written) == ["correct_graph.graphml", "incorrect_graph.graphml"]
 
     def test_unknown_format_rejected(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         with pytest.raises(ValueError):
             export(report, "pdf", tmp_path)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         transcript, records = small_run()
-        report = report_for(transcript, records)
+        report = build_report(transcript, records)
         for fmt in ("json", "csv-bundle", "dot", "graphml"):
             export(report, fmt, tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
