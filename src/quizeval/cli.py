@@ -30,11 +30,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
+_BACKENDS = ("live", "replay")
+_EXTRACTORS = ("gazetteer", "llm")
+
+# Config-file key -> the JSON type its flag parses to (a float key also
+# takes an integer).
 _CONFIG_KEYS = {
-    "manifest", "backend", "fixture", "parallelism", "out", "lexicon", "extractor",
-    "top_k", "tag_threshold", "model", "max_tokens", "endpoint", "temperature",
-    "rules_file", "min_interval",
+    "manifest": str, "backend": str, "fixture": str, "parallelism": int, "out": str,
+    "lexicon": str, "extractor": str, "top_k": int, "tag_threshold": int, "model": str,
+    "max_tokens": int, "endpoint": str, "temperature": float, "rules_file": str,
+    "min_interval": float,
 }
+_CONFIG_CHOICES = {"backend": _BACKENDS, "extractor": _EXTRACTORS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +62,7 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="evaluate a corpus and write the transcript")
     p_run.add_argument("--manifest", type=Path)
     p_run.add_argument("--config", type=Path, help="JSON config file; flags override its keys")
-    p_run.add_argument("--backend", choices=("live", "replay"))
+    p_run.add_argument("--backend", choices=_BACKENDS)
     p_run.add_argument("--fixture", type=Path, help="replay fixture (required for --backend replay)")
     p_run.add_argument("--parallelism", type=int)
     p_run.add_argument("--out", type=Path)
@@ -72,7 +79,7 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--config", type=Path)
     p_analyze.add_argument("--out", type=Path)
     p_analyze.add_argument("--lexicon", type=Path)
-    p_analyze.add_argument("--extractor", choices=("gazetteer", "llm"))
+    p_analyze.add_argument("--extractor", choices=_EXTRACTORS)
     p_analyze.add_argument("--top-k", type=int, dest="top_k")
     p_analyze.add_argument("--tag-threshold", type=int, dest="tag_threshold")
     p_analyze.add_argument("--model")
@@ -94,9 +101,17 @@ def _load_config_file(path: Path | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        expected = _CONFIG_KEYS[key]
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {key!r} must be of type {expected.__name__}, got {json.dumps(value)}")
+        choices = _CONFIG_CHOICES.get(key)
+        if choices is not None and value not in choices:
+            raise ConfigError(f"config key {key!r} must be one of {', '.join(choices)}, got {value!r}")
     return doc
 
 
@@ -117,7 +132,7 @@ def _engine_config(args: argparse.Namespace, file_config: dict) -> EngineConfig:
     try:
         return EngineConfig(
             model_id=_setting(args, file_config, "model", DEFAULT_MODEL_ID),
-            max_tokens=int(_setting(args, file_config, "max_tokens", DEFAULT_MAX_TOKENS)),
+            max_tokens=_setting(args, file_config, "max_tokens", DEFAULT_MAX_TOKENS),
             endpoint_url=_setting(args, file_config, "endpoint", DEFAULT_ENDPOINT_URL),
             temperature=_setting(args, file_config, "temperature", None),
         )
@@ -153,14 +168,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     backend = _setting(args, file_config, "backend", "live")
-    parallelism = int(_setting(args, file_config, "parallelism", 1))
+    parallelism = _setting(args, file_config, "parallelism", 1)
     out_dir = Path(_setting(args, file_config, "out", "out"))
     manifest = _setting(args, file_config, "manifest", None)
     config = _engine_config(args, file_config)
 
     rules_file = _setting(args, file_config, "rules_file", None)
     if rules_file is not None:
-        rules = RulesOfConduct(Path(rules_file).read_text(encoding="utf-8").strip())
+        try:
+            rules_text = Path(rules_file).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read rules file {rules_file}: {exc}") from exc
+        rules = RulesOfConduct(rules_text.strip())
     else:
         rules = RulesOfConduct()
 
@@ -170,15 +189,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if fixture is None:
             raise ConfigError("--backend replay requires --fixture")
         completion = client.open_replay(Path(fixture))
-    elif backend == "live":
+    else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if not api_key:
             raise ConfigError(f"--backend live requires the {API_KEY_ENV_VAR} environment variable")
         completion = client.make_live_completion(
-            config, api_key, min_interval=float(_setting(args, file_config, "min_interval", 0.0))
+            config, api_key, min_interval=_setting(args, file_config, "min_interval", 0.0)
         )
-    else:
-        raise ConfigError(f"unknown backend {backend!r}")
 
     try:
         corpus = _load_corpus_or_fail(Path(manifest) if manifest else None)
@@ -215,12 +232,15 @@ def _check_transcript_matches_corpus(transcript: RunTranscript, corpus: QuizCorp
 def _cmd_analyze(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     out_dir = Path(_setting(args, file_config, "out", "out"))
-    top_k = int(_setting(args, file_config, "top_k", reporting.DEFAULT_TOP_K))
-    tag_threshold = int(_setting(args, file_config, "tag_threshold", reporting.DEFAULT_TAG_THRESHOLD))
+    top_k = _setting(args, file_config, "top_k", reporting.DEFAULT_TOP_K)
+    tag_threshold = _setting(args, file_config, "tag_threshold", reporting.DEFAULT_TAG_THRESHOLD)
     extractor_name = _setting(args, file_config, "extractor", "gazetteer")
     lexicon_path = _setting(args, file_config, "lexicon", None)
 
-    transcript = load_transcript(args.transcript)
+    try:
+        transcript = load_transcript(args.transcript)
+    except OSError as exc:
+        raise ConfigError(f"cannot read transcript {args.transcript}: {exc}") from exc
     try:
         corpus = load_corpus(args.manifest)
     except (MalformedManifestError, CorpusValidationError) as exc:

@@ -16,6 +16,7 @@ import base64
 import json
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -68,25 +69,14 @@ class MalformedFixtureError(Exception):
     """The replay fixture file is unusable (bad JSON, duplicate or non-string keys)."""
 
 
+@dataclass(frozen=True, slots=True)
 class ChatResponse:
     """Raw engine output for one envelope."""
 
-    __slots__ = ("question_id", "response_text", "latency_ms", "engine_echo")
-
-    def __init__(self, question_id: str, response_text: str, latency_ms: float, engine_echo: str | None):
-        self.question_id = question_id
-        self.response_text = response_text
-        self.latency_ms = latency_ms
-        self.engine_echo = engine_echo
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ChatResponse) and (
-            (self.question_id, self.response_text, self.latency_ms, self.engine_echo)
-            == (other.question_id, other.response_text, other.latency_ms, other.engine_echo)
-        )
-
-    def __repr__(self) -> str:
-        return f"ChatResponse({self.question_id!r}, {self.response_text[:40]!r}..., {self.latency_ms}ms)"
+    question_id: str
+    response_text: str
+    latency_ms: float
+    engine_echo: str | None
 
 
 def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
@@ -139,21 +129,25 @@ def _parse_completion(text: str) -> tuple[str, str | None]:
 
 
 def _execute(
-    url: str,
-    body: bytes,
+    prompt: PromptEnvelope | str,
+    config: EngineConfig,
     api_key: str,
     *,
     max_retries: int,
-    transport: Transport,
+    transport: Transport | None,
     sleep: Callable[[float], None],
 ) -> tuple[str, str | None, float]:
+    """POST one prompt, retrying retryable failures; returns the response
+    content, the model name the endpoint reports and the latency in ms."""
+    body = request_body(prompt, config)
+    transport = transport or _default_transport
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     last_error: ClientError | None = None
     for attempt in range(max_retries + 1):
         started = time.perf_counter()
         try:
             try:
-                status, text = transport(url, body, headers)
+                status, text = transport(config.endpoint_url, body, headers)
             except requests.Timeout as exc:
                 raise ClientError("Timeout", f"request timed out: {exc}") from exc
             except requests.ConnectionError as exc:
@@ -190,14 +184,8 @@ def complete(
     raised as RetriesExhaustedError. Non-retryable failures raise
     immediately. The envelope is never mutated.
     """
-    body = request_body(envelope, config)
     content, engine_echo, latency_ms = _execute(
-        config.endpoint_url,
-        body,
-        api_key,
-        max_retries=max_retries,
-        transport=transport or _default_transport,
-        sleep=sleep,
+        envelope, config, api_key, max_retries=max_retries, transport=transport, sleep=sleep
     )
     return ChatResponse(envelope.question_id, content, latency_ms, engine_echo)
 
@@ -211,18 +199,9 @@ def complete_text(
     transport: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
-    """Text-only completion against the same endpoint; used by the
-    model-assisted entity extractor."""
-    body = request_body(prompt_text, config)
-    content, _, _ = _execute(
-        config.endpoint_url,
-        body,
-        api_key,
-        max_retries=max_retries,
-        transport=transport or _default_transport,
-        sleep=sleep,
-    )
-    return content
+    """Text-only completion against the same endpoint, with the same retry
+    policy; used by the model-assisted entity extractor."""
+    return _execute(prompt_text, config, api_key, max_retries=max_retries, transport=transport, sleep=sleep)[0]
 
 
 def make_live_completion(

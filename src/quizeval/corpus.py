@@ -30,12 +30,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .atomic import write_atomic
-
 LETTER_SEQUENCE = "ABCDE"
 MIN_CHOICES = 2
 MAX_CHOICES = 5
-IMAGE_SUFFIXES = (".png", ".jpg", ".jpeg")
+IMAGE_MEDIA_TYPES = {".png": "image/png", ".jpg": "image/jpeg", ".jpeg": "image/jpeg"}
 
 
 class CorpusError(Exception):
@@ -322,7 +320,7 @@ def _parse_image(
         ok = False
     rel = Path(raw["path"])
     path = rel if rel.is_absolute() else base_dir / rel
-    if path.suffix.lower() not in IMAGE_SUFFIXES:
+    if path.suffix.lower() not in IMAGE_MEDIA_TYPES:
         issues.append(
             ValidationIssue("MalformedManifest", f"question {qid}: image {path.name!r} is not a JPEG or PNG file")
         )
@@ -348,37 +346,3 @@ def corpus_stats(corpus: QuizCorpus) -> CorpusStats:
         tag_histogram=dict(sorted(histogram.items())),
     )
 
-
-def serialize_corpus(corpus: QuizCorpus, base_dir: str | Path) -> dict:
-    """Render a corpus back into manifest form, relativizing image paths."""
-    base_dir = Path(base_dir)
-    return {
-        "tag_vocabulary": sorted(corpus.tag_vocabulary),
-        "quizzes": [
-            {
-                "id": quiz.id,
-                "title": quiz.title,
-                "questions": [
-                    {
-                        "id": q.id,
-                        "stem": q.stem,
-                        "choices": [{"letter": c.letter, "text": c.text} for c in q.choices],
-                        "correct_letter": q.correct_letter,
-                        "explanation": q.explanation,
-                        "image": {
-                            "path": os.path.relpath(q.image.path, base_dir),
-                            "domain_tag": q.image.domain_tag,
-                        },
-                    }
-                    for q in quiz.questions
-                ],
-            }
-            for quiz in corpus.quizzes
-        ],
-    }
-
-
-def write_manifest(corpus: QuizCorpus, path: str | Path) -> Path:
-    """Write the manifest-form serialization next to its images."""
-    path = Path(path)
-    return write_atomic(path, json.dumps(serialize_corpus(corpus, base_dir=path.parent), indent=2) + "\n")

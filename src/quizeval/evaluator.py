@@ -155,31 +155,34 @@ def run_evaluation(
 ) -> RunTranscript:
     """Evaluate every question and assemble the run transcript.
 
-    Client failures on individual questions become error verdicts rather
-    than aborting the run; only corpus-level failures (unreadable images,
-    invalid configuration) abort. Results are aggregated in corpus order, so
-    any ``parallelism`` level produces the same transcript. When
+    Each question's envelope is built by the worker that sends it, so about
+    ``parallelism`` images are held in memory at once, whatever the corpus
+    size. Client failures on individual questions become error verdicts
+    rather than aborting the run; only corpus-level failures (an unreadable
+    image) abort, and an abort skips the questions that have not started, so
+    they are never paid for. Results are aggregated in corpus order, so any
+    ``parallelism`` level produces the same transcript. When
     ``transcript_path`` is given the transcript is persisted before return.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    questions = list(corpus.iter_questions())
-    envelopes = [build_prompt(q, rules, config) for q in questions]
 
-    def evaluate_one(pair: tuple[Question, PromptEnvelope]) -> Verdict:
-        question, envelope = pair
+    def evaluate_one(question: Question) -> Verdict:
+        envelope = build_prompt(question, rules)
         try:
             response = completion(envelope)
         except ClientError as err:
             return _verdict_for_error(question, err)
         return _verdict_for_response(question, response)
 
-    work = list(zip(questions, envelopes))
-    if parallelism == 1 or len(work) <= 1:
-        verdicts = [evaluate_one(item) for item in work]
+    if parallelism == 1:
+        verdicts = [evaluate_one(q) for q in corpus.iter_questions()]
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            verdicts = list(pool.map(evaluate_one, work))
+        pool = ThreadPoolExecutor(max_workers=parallelism)
+        try:
+            verdicts = list(pool.map(evaluate_one, corpus.iter_questions()))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     metadata = RunMetadata(
         model_id=config.model_id,

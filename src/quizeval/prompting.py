@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-from .corpus import Question
+from .corpus import IMAGE_MEDIA_TYPES, Question
 
 ANSWER_MARKER = "Correct Choice:"
 
@@ -26,8 +26,6 @@ DEFAULT_RULES_TEXT = (
 DEFAULT_MODEL_ID = "gpt-4-vision-preview"
 DEFAULT_MAX_TOKENS = 4000
 DEFAULT_ENDPOINT_URL = "https://api.openai.com/v1/chat/completions"
-
-_MEDIA_TYPES = {".png": "image/png", ".jpg": "image/jpeg", ".jpeg": "image/jpeg"}
 
 
 class PromptError(Exception):
@@ -44,12 +42,14 @@ class ImageReadError(PromptError):
 
 @dataclass(frozen=True)
 class RulesOfConduct:
-    """Instruction text prepended to every prompt."""
+    """Instruction text prepended to every prompt; it must contain the
+    answer marker, or construction raises MarkerMissingError."""
 
     instruction_text: str = DEFAULT_RULES_TEXT
 
-    def has_marker(self) -> bool:
-        return ANSWER_MARKER in self.instruction_text
+    def __post_init__(self) -> None:
+        if ANSWER_MARKER not in self.instruction_text:
+            raise MarkerMissingError(f"rules of conduct must contain the marker {ANSWER_MARKER!r}")
 
 
 @dataclass(frozen=True)
@@ -96,24 +96,13 @@ def render_choices(question: Question) -> str:
     return "\n".join(f"{c.letter}. {c.text}" for c in question.choices)
 
 
-def build_prompt(
-    question: Question,
-    rules: RulesOfConduct,
-    config: EngineConfig | None = None,
-) -> PromptEnvelope:
-    """Assemble the payload for one question.
+def build_prompt(question: Question, rules: RulesOfConduct) -> PromptEnvelope:
+    """Assemble the payload for one question, reading its image from disk.
 
-    ``config`` is accepted so pipeline call sites can validate the whole run
-    configuration up front; engine settings themselves travel to the client,
-    not inside the envelope. Deterministic: identical inputs yield an
-    identical envelope.
+    Deterministic: identical inputs yield an identical envelope.
     """
-    if not rules.has_marker():
-        raise MarkerMissingError(f"rules of conduct must contain the marker {ANSWER_MARKER!r}")
-    if config is not None and not isinstance(config, EngineConfig):
-        raise TypeError("config must be an EngineConfig")
     suffix = question.image.path.suffix.lower()
-    media_type = _MEDIA_TYPES.get(suffix)
+    media_type = IMAGE_MEDIA_TYPES.get(suffix)
     if media_type is None:
         raise ImageReadError(f"unsupported image type {suffix!r} for {question.image.path}")
     try:

@@ -116,6 +116,15 @@ class TestRun:
         config_path.write_text(json.dumps({"bogus": 1}))
         assert run_cli("run", "--config", str(config_path)) == 1
 
+    def test_missing_rules_file_exits_one(self, sample_paths, tmp_path, capsys):
+        code = run_cli(
+            "run", "--manifest", str(sample_paths.manifest),
+            "--backend", "replay", "--fixture", str(sample_paths.fixture),
+            "--rules-file", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "error: ConfigError: cannot read rules file" in capsys.readouterr().err
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("run", "--backend", "teapot")
@@ -210,6 +219,12 @@ class TestAnalyze:
         assert code == 1
         assert "error: ValueError: malformed transcript" in capsys.readouterr().err
 
+    def test_missing_transcript_exits_one(self, sample_paths, tmp_path, capsys):
+        code = run_cli("analyze", "--transcript", str(tmp_path / "absent.json"),
+                       "--manifest", str(sample_paths.manifest), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "error: ConfigError: cannot read transcript" in capsys.readouterr().err
+
     def test_all_correct_transcript_degenerate_branch(self, manifest_factory, tmp_path, capsys):
         questions = [make_question(f"q{i}", correct="A") for i in range(3)]
         path = manifest_factory(make_manifest({"qz1": questions}))
@@ -239,6 +254,25 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["entity_frequencies"]["correct"]) == {"ORGAN"}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("run", {"out": 5}),
+    ("run", {"temperature": "hot"}),
+    ("run", {"parallelism": None}),
+    ("run", {"backend": "teapot"}),
+    ("analyze", {"top_k": None}),
+    ("analyze", {"extractor": "spacy"}),
+])
+def test_config_file_values_are_checked(command, doc, sample_paths, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    argv = ["--config", str(config_path)]
+    if command == "analyze":
+        argv += ["--transcript", str(tmp_path / "t.json"), "--manifest", str(sample_paths.manifest)]
+    assert run_cli(command, *argv) == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError: config key" in err and repr(next(iter(doc))) in err
 
 
 class TestSample:

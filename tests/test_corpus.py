@@ -7,7 +7,6 @@ from quizeval.corpus import (
     MalformedManifestError,
     corpus_stats,
     load_corpus,
-    write_manifest,
 )
 
 from .conftest import make_manifest, make_question
@@ -121,21 +120,6 @@ class TestLoadCorpus:
         with pytest.raises(CorpusValidationError) as excinfo:
             load_corpus(path)
         assert issue_kinds(excinfo.value) >= {"InvalidCorrectLetter", "UnknownTag"}
-
-
-class TestRoundTrip:
-    def test_serialize_then_reload_is_identity(self, sample_paths, sample_corpus):
-        rewritten = sample_paths.manifest.with_name("rewritten.json")
-        write_manifest(sample_corpus, rewritten)
-        assert load_corpus(rewritten) == sample_corpus
-
-    def test_small_corpus_round_trip(self, manifest_factory):
-        manifest = make_manifest({"qz1": [make_question("q1", tag="SKIN", correct="B")]})
-        path = manifest_factory(manifest)
-        corpus = load_corpus(path)
-        rewritten = path.with_name("again.json")
-        write_manifest(corpus, rewritten)
-        assert load_corpus(rewritten) == corpus
 
 
 class TestCorpusStats:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
+import weakref
 
 import pytest
 
+from quizeval import evaluator
 from quizeval.client import open_replay
 from quizeval.corpus import load_corpus
 from quizeval.evaluator import (
@@ -17,7 +21,8 @@ from quizeval.evaluator import (
     transcript_from_dict,
     transcript_to_dict,
 )
-from quizeval.prompting import EngineConfig, RulesOfConduct
+from quizeval.prompting import EngineConfig, ImageReadError, RulesOfConduct
+from quizeval.sampledata import materialize_sample
 
 from .conftest import make_manifest, make_question
 
@@ -153,6 +158,52 @@ class TestRunEvaluation:
         )
         assert out.is_file()
         assert load_transcript(out) == transcript
+
+
+class TestRunLoop:
+    def test_envelopes_alive_bounded_by_parallelism(self, sample_paths, sample_corpus, monkeypatch):
+        lock = threading.Lock()
+        alive, peak = [0], [0]
+        build_prompt = evaluator.build_prompt
+
+        def freed():
+            with lock:
+                alive[0] -= 1
+
+        def counting_build_prompt(*args):
+            envelope = build_prompt(*args)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(envelope, freed)
+            return envelope
+
+        monkeypatch.setattr(evaluator, "build_prompt", counting_build_prompt)
+        completion = open_replay(sample_paths.fixture)
+        transcript = run_evaluation(sample_corpus, RulesOfConduct(), CONFIG, completion, 2, backend="replay")
+        assert len(transcript.verdicts) == sample_corpus.question_count
+        assert 1 <= peak[0] <= 3
+
+    def test_unreadable_image_skips_questions_not_started(self, tmp_path):
+        paths = materialize_sample(tmp_path / "sample")
+        corpus = load_corpus(paths.manifest)
+        position = 10
+        list(corpus.iter_questions())[position].image.path.unlink()
+        replay = open_replay(paths.fixture)
+        calls = []
+
+        def counting(envelope):
+            calls.append(envelope.question_id)
+            # Like an endpoint, a call takes time; an instant one would let
+            # the workers drain the queue before the abort reaches it.
+            time.sleep(0.005)
+            return replay(envelope)
+
+        out = tmp_path / "transcript.json"
+        with pytest.raises(ImageReadError):
+            run_evaluation(corpus, RulesOfConduct(), CONFIG, counting, 2, backend="replay", transcript_path=out)
+        assert len(calls) <= position + 2
+        assert not out.exists()
 
 
 class TestScore:

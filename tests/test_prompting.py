@@ -65,12 +65,6 @@ class TestBuildPrompt:
         envelope = build_prompt(hand_question(image, n_choices=1), RulesOfConduct())
         assert envelope.choices_text == "A. Option A"
 
-    def test_marker_missing(self, question):
-        rules = RulesOfConduct("Answer the question.")
-        assert not rules.has_marker()
-        with pytest.raises(MarkerMissingError):
-            build_prompt(question, rules)
-
     def test_unreadable_image(self, tmp_path):
         with pytest.raises(ImageReadError):
             build_prompt(hand_question(tmp_path / "absent.png"), RulesOfConduct())
@@ -88,8 +82,8 @@ class TestBuildPrompt:
         assert envelope.image_media_type == "image/jpeg"
 
     def test_deterministic(self, question):
-        first = build_prompt(question, RulesOfConduct(), EngineConfig())
-        second = build_prompt(question, RulesOfConduct(), EngineConfig())
+        first = build_prompt(question, RulesOfConduct())
+        second = build_prompt(question, RulesOfConduct())
         assert first == second
         assert first.text == second.text
 
@@ -110,11 +104,15 @@ class TestBuildPrompt:
 class TestRulesOfConduct:
     def test_default_contains_marker(self):
         assert ANSWER_MARKER in DEFAULT_RULES_TEXT
-        assert RulesOfConduct().has_marker()
+        assert RulesOfConduct().instruction_text == DEFAULT_RULES_TEXT
 
     def test_custom_rules_with_marker(self):
-        rules = RulesOfConduct(f"Reply tersely. {ANSWER_MARKER}(letter)")
-        assert rules.has_marker()
+        text = f"Reply tersely. {ANSWER_MARKER}(letter)"
+        assert RulesOfConduct(text).instruction_text == text
+
+    def test_marker_missing(self):
+        with pytest.raises(MarkerMissingError):
+            RulesOfConduct("no marker")
 
 
 class TestEngineConfig:
