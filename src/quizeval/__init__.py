@@ -8,7 +8,7 @@ from .ima import IMAReport, analyze_images
 from .kg import EntityGraph, GraphMetrics, UndefinedDensityError, build_graph, compute_metrics, connected_components, density, top_degree
 from .ner import EntityLexicon, EntityRecord, GazetteerExtractor, LlmExtractor, entity_frequencies, extract_entities, extract_from_transcript, load_default_lexicon
 from .prompting import DEFAULT_RULES_TEXT, EngineConfig, PromptEnvelope, RulesOfConduct, build_prompt
-from .reporting import AnalysisReport, RunMismatchError, WeakPath, build_report, export, load_report
+from .reporting import AnalysisReport, RunMismatchError, WeakPath, build_report, export
 from .sampledata import materialize_sample
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "extract_from_transcript",
     "load_corpus",
     "load_default_lexicon",
-    "load_report",
     "load_transcript",
     "make_live_completion",
     "materialize_sample",

@@ -1,5 +1,6 @@
-"""Atomic file writes: every file quizeval produces goes through
-``write_atomic``."""
+"""Atomic file writes: every text file quizeval produces goes through
+``write_atomic``. The sample's PNG images are bytes and are written before
+the manifest that names them."""
 
 from __future__ import annotations
 

@@ -30,19 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
-_BACKENDS = ("live", "replay")
-_EXTRACTORS = ("gazetteer", "llm")
-
-# Config-file key -> the JSON type its flag parses to (a float key also
-# takes an integer).
-_CONFIG_KEYS = {
-    "manifest": str, "backend": str, "fixture": str, "parallelism": int, "out": str,
-    "lexicon": str, "extractor": str, "top_k": int, "tag_threshold": int, "model": str,
-    "max_tokens": int, "endpoint": str, "temperature": float, "rules_file": str,
-    "min_interval": float,
-}
-_CONFIG_CHOICES = {"backend": _BACKENDS, "extractor": _EXTRACTORS}
-
 
 class _Parser(argparse.ArgumentParser):
     # Usage errors are configuration errors: exit 1, not argparse's 2.
@@ -52,98 +39,92 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name. Each flag's
+    type, choices and default are its only definition; config-file values
+    are checked and converted against the same flags."""
     parser = _Parser(prog="quizeval", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", type=Path, help="JSON config file; flags override its keys")
+    shared.add_argument("--out", type=Path, default="out")
+    shared.add_argument("--model", default=DEFAULT_MODEL_ID)
+    shared.add_argument("--max-tokens", type=int, dest="max_tokens", default=DEFAULT_MAX_TOKENS)
+    shared.add_argument("--endpoint", default=DEFAULT_ENDPOINT_URL)
+    shared.add_argument("--temperature", type=float)
 
     p_validate = sub.add_parser("validate", help="check a corpus manifest and print a summary")
     p_validate.add_argument("--manifest", required=True, type=Path)
 
-    p_run = sub.add_parser("run", help="evaluate a corpus and write the transcript")
+    p_run = sub.add_parser("run", parents=[shared], help="evaluate a corpus and write the transcript")
     p_run.add_argument("--manifest", type=Path)
-    p_run.add_argument("--config", type=Path, help="JSON config file; flags override its keys")
-    p_run.add_argument("--backend", choices=_BACKENDS)
+    p_run.add_argument("--backend", choices=("live", "replay"), default="live")
     p_run.add_argument("--fixture", type=Path, help="replay fixture (required for --backend replay)")
-    p_run.add_argument("--parallelism", type=int)
-    p_run.add_argument("--out", type=Path)
+    p_run.add_argument("--parallelism", type=int, default=1)
     p_run.add_argument("--rules-file", type=Path, help="file with replacement rules-of-conduct text")
-    p_run.add_argument("--model")
-    p_run.add_argument("--max-tokens", type=int, dest="max_tokens")
-    p_run.add_argument("--endpoint")
-    p_run.add_argument("--temperature", type=float)
-    p_run.add_argument("--min-interval", type=float, dest="min_interval")
+    p_run.add_argument("--min-interval", type=float, dest="min_interval", default=0.0)
 
-    p_analyze = sub.add_parser("analyze", help="analyze a persisted transcript into a report bundle")
+    p_analyze = sub.add_parser("analyze", parents=[shared], help="analyze a persisted transcript into a report bundle")
     p_analyze.add_argument("--transcript", required=True, type=Path)
     p_analyze.add_argument("--manifest", required=True, type=Path)
-    p_analyze.add_argument("--config", type=Path)
-    p_analyze.add_argument("--out", type=Path)
     p_analyze.add_argument("--lexicon", type=Path)
-    p_analyze.add_argument("--extractor", choices=_EXTRACTORS)
-    p_analyze.add_argument("--top-k", type=int, dest="top_k")
-    p_analyze.add_argument("--tag-threshold", type=int, dest="tag_threshold")
-    p_analyze.add_argument("--model")
-    p_analyze.add_argument("--max-tokens", type=int, dest="max_tokens")
-    p_analyze.add_argument("--endpoint")
-    p_analyze.add_argument("--temperature", type=float)
+    p_analyze.add_argument("--extractor", choices=("gazetteer", "llm"), default="gazetteer")
+    p_analyze.add_argument("--top-k", type=int, dest="top_k", default=reporting.DEFAULT_TOP_K)
+    p_analyze.add_argument("--tag-threshold", type=int, dest="tag_threshold", default=reporting.DEFAULT_TAG_THRESHOLD)
 
     p_sample = sub.add_parser("sample", help="write the bundled sample corpus and fixture")
     p_sample.add_argument("--out", required=True, type=Path)
-    return parser
+    return parser, sub.choices
 
 
-def _load_config_file(path: Path | None) -> dict:
-    if path is None:
-        return {}
+def _config_flags(commands: dict[str, _Parser]) -> dict[str, argparse.Action]:
+    """The flags a config file may set, by key: the optional flags of
+    ``run`` and ``analyze`` except ``--help`` and ``--config``."""
+    return {
+        action.dest: action
+        for name in ("run", "analyze")
+        for action in commands[name]._actions
+        if action.option_strings and not action.required and action.dest not in ("help", "config")
+    }
+
+
+def _load_config_file(path: Path, flags: dict[str, argparse.Action]) -> dict:
+    """Read a config file and convert each value with its flag's type."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    unknown = set(doc) - set(flags)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    values = {}
     for key, value in doc.items():
-        expected = _CONFIG_KEYS[key]
+        action = flags[key]
+        expected = action.type if action.type in (int, float) else str
         accepted = (int, float) if expected is float else expected
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(f"config key {key!r} must be of type {expected.__name__}, got {json.dumps(value)}")
-        choices = _CONFIG_CHOICES.get(key)
-        if choices is not None and value not in choices:
-            raise ConfigError(f"config key {key!r} must be one of {', '.join(choices)}, got {value!r}")
-    return doc
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
+        values[key] = action.type(value) if action.type else value
+    return values
 
 
 class ConfigError(Exception):
     pass
 
 
-def _setting(args: argparse.Namespace, file_config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_config:
-        return file_config[key]
-    return default
-
-
-def _engine_config(args: argparse.Namespace, file_config: dict) -> EngineConfig:
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
     try:
         return EngineConfig(
-            model_id=_setting(args, file_config, "model", DEFAULT_MODEL_ID),
-            max_tokens=_setting(args, file_config, "max_tokens", DEFAULT_MAX_TOKENS),
-            endpoint_url=_setting(args, file_config, "endpoint", DEFAULT_ENDPOINT_URL),
-            temperature=_setting(args, file_config, "temperature", None),
+            model_id=args.model, max_tokens=args.max_tokens,
+            endpoint_url=args.endpoint, temperature=args.temperature,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _load_corpus_or_fail(manifest: Path) -> QuizCorpus:
-    if manifest is None:
-        raise ConfigError("a corpus manifest is required (--manifest or config file)")
-    return load_corpus(manifest)
 
 
 def _print_corpus_errors(exc: Exception) -> None:
@@ -166,47 +147,39 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args.config)
-    backend = _setting(args, file_config, "backend", "live")
-    parallelism = _setting(args, file_config, "parallelism", 1)
-    out_dir = Path(_setting(args, file_config, "out", "out"))
-    manifest = _setting(args, file_config, "manifest", None)
-    config = _engine_config(args, file_config)
-
-    rules_file = _setting(args, file_config, "rules_file", None)
-    if rules_file is not None:
+    config = _engine_config(args)
+    if args.rules_file is not None:
         try:
-            rules_text = Path(rules_file).read_text(encoding="utf-8")
+            rules_text = args.rules_file.read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read rules file {rules_file}: {exc}") from exc
+            raise ConfigError(f"cannot read rules file {args.rules_file}: {exc}") from exc
         rules = RulesOfConduct(rules_text.strip())
     else:
         rules = RulesOfConduct()
 
     # Fail fast on backend requirements before touching the corpus or network.
-    if backend == "replay":
-        fixture = _setting(args, file_config, "fixture", None)
-        if fixture is None:
+    if args.backend == "replay":
+        if args.fixture is None:
             raise ConfigError("--backend replay requires --fixture")
-        completion = client.open_replay(Path(fixture))
+        completion = client.open_replay(args.fixture)
     else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if not api_key:
             raise ConfigError(f"--backend live requires the {API_KEY_ENV_VAR} environment variable")
-        completion = client.make_live_completion(
-            config, api_key, min_interval=_setting(args, file_config, "min_interval", 0.0)
-        )
+        completion = client.make_live_completion(config, api_key, min_interval=args.min_interval)
 
+    if args.manifest is None:
+        raise ConfigError("a corpus manifest is required (--manifest or config file)")
     try:
-        corpus = _load_corpus_or_fail(Path(manifest) if manifest else None)
+        corpus = load_corpus(args.manifest)
     except (MalformedManifestError, CorpusValidationError) as exc:
         _print_corpus_errors(exc)
         return EXIT_CONFIG
 
-    transcript_path = out_dir / "transcript.json"
+    transcript_path = args.out / "transcript.json"
     transcript = run_evaluation(
-        corpus, rules, config, completion, parallelism,
-        backend=backend, transcript_path=transcript_path,
+        corpus, rules, config, completion, args.parallelism,
+        backend=args.backend, transcript_path=transcript_path,
     )
     summary = score(transcript)
     print(f"{'quiz':<12}{'correct':>8}{'total':>7}")
@@ -225,18 +198,16 @@ def _check_transcript_matches_corpus(transcript: RunTranscript, corpus: QuizCorp
         raise RunMismatchError("transcript and corpus cover different question sets")
     for question in corpus.iter_questions():
         verdict = verdicts[question.id]
-        if verdict.correct_letter != question.correct_letter or verdict.domain_tag != question.image.domain_tag:
+        if (verdict.quiz_id != question.quiz_id or verdict.correct_letter != question.correct_letter
+                or verdict.domain_tag != question.image.domain_tag):
             raise RunMismatchError(f"verdict for {question.id!r} disagrees with the corpus")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args.config)
-    out_dir = Path(_setting(args, file_config, "out", "out"))
-    top_k = _setting(args, file_config, "top_k", reporting.DEFAULT_TOP_K)
-    tag_threshold = _setting(args, file_config, "tag_threshold", reporting.DEFAULT_TAG_THRESHOLD)
-    extractor_name = _setting(args, file_config, "extractor", "gazetteer")
-    lexicon_path = _setting(args, file_config, "lexicon", None)
-
+    # Checked here, not only in kg.top_degree, so a bad value costs no
+    # extraction calls and is caught even when both graphs are empty.
+    if args.top_k < 1:
+        raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
     try:
         transcript = load_transcript(args.transcript)
     except OSError as exc:
@@ -248,8 +219,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     _check_transcript_matches_corpus(transcript, corpus)
 
-    lexicon = ner.EntityLexicon.from_json_file(Path(lexicon_path)) if lexicon_path else ner.load_default_lexicon()
-    if extractor_name == "gazetteer":
+    lexicon = ner.EntityLexicon.from_json_file(args.lexicon) if args.lexicon is not None else ner.load_default_lexicon()
+    if args.extractor == "gazetteer":
         extractor = ner.GazetteerExtractor(lexicon)
     else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
@@ -257,18 +228,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ner.ExtractorUnavailableError(
                 f"--extractor llm requires the {API_KEY_ENV_VAR} environment variable"
             )
-        config = _engine_config(args, file_config)
+        config = _engine_config(args)
         extractor = ner.LlmExtractor(
             lambda text: client.complete_text(text, config, api_key), lexicon.entity_types
         )
 
     records = ner.extract_from_transcript(transcript, extractor)
-    report = reporting.build_report(transcript, records, tag_threshold=tag_threshold, top_k=top_k)
+    report = reporting.build_report(transcript, records, tag_threshold=args.tag_threshold, top_k=args.top_k)
 
     written = []
     for fmt in ("json", "csv-bundle", "dot", "graphml"):
-        written.extend(reporting.export(report, fmt, out_dir))
-    written.append(ner.write_records_csv(records, out_dir / "entities.csv"))
+        written.extend(reporting.export(report, fmt, args.out))
+    written.append(ner.write_records_csv(records, args.out / "entities.csv"))
 
     print(f"analyzed {len(transcript.verdicts)} verdicts: {report.scores.correct} correct, "
           f"{len(records)} entity records, {len(report.requirements)} requirements")
@@ -285,9 +256,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``; with ``--config``, the file's values become the
+    subcommand's defaults and ``argv`` is parsed again, so a flag overrides
+    the file and the file overrides the built-in default."""
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        commands[args.command].set_defaults(**_load_config_file(args.config, _config_flags(commands)))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     handlers = {
         "validate": _cmd_validate,
         "run": _cmd_run,
@@ -295,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         "sample": _cmd_sample,
     }
     try:
+        args = _parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, ValueError, RunMismatchError, PromptError,
             client.MalformedFixtureError, ner.ExtractorUnavailableError,

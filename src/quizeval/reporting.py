@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .atomic import write_atomic, write_csv
-from .evaluator import QuizScore, RunTranscript, ScoreSummary, score
+from .evaluator import RunTranscript, ScoreSummary, score
 from .ima import IMAReport, analyze_images, ima_rows
 from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
 from .ner import EntityRecord, entity_frequencies
@@ -187,19 +187,6 @@ def _graph_to_obj(graph: EntityGraph) -> dict:
     }
 
 
-def _graph_from_obj(obj: dict) -> EntityGraph:
-    node_types = {n["name"]: n["entity_type"] for n in obj["nodes"] if n.get("entity_type")}
-    edges = {(e["source"], e["target"]) for e in obj["edges"]}
-    counts = {(e["source"], e["target"]): e.get("count", 1) for e in obj["edges"]}
-    return EntityGraph(
-        nodes=frozenset(n["name"] for n in obj["nodes"]),
-        edges=frozenset(edges),
-        directed=False,
-        node_types=node_types,
-        edge_counts=counts,
-    )
-
-
 def _metrics_to_obj(metrics: GraphMetrics) -> dict:
     return {
         "nodes": metrics.node_count,
@@ -208,16 +195,6 @@ def _metrics_to_obj(metrics: GraphMetrics) -> dict:
         "components": metrics.component_count,
         "top_degree": [[name, deg] for name, deg in metrics.top_degree],
     }
-
-
-def _metrics_from_obj(obj: dict) -> GraphMetrics:
-    return GraphMetrics(
-        node_count=obj["nodes"],
-        edge_count=obj["edges"],
-        density=obj["density"],
-        component_count=obj["components"],
-        top_degree=tuple((name, deg) for name, deg in obj["top_degree"]),
-    )
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -253,44 +230,12 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def report_from_dict(doc: dict) -> AnalysisReport:
-    if not isinstance(doc, dict) or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(f"not a version-{REPORT_SCHEMA_VERSION} report document")
-    scores = ScoreSummary(
-        per_quiz=tuple(QuizScore(**s) for s in doc["scores"]["per_quiz"]),
-        correct=doc["scores"]["correct"],
-        total=doc["scores"]["total"],
-        ratio=doc["scores"]["ratio"],
-    )
-    ima_doc = doc["ima"]
-    ima_report = IMAReport(
-        correct_hist=dict(ima_doc["correct"]),
-        incorrect_hist=dict(ima_doc["incorrect"]),
-        incorrect_only_tags=frozenset(ima_doc["incorrect_only_tags"]),
-        per_tag_error_rate=dict(ima_doc["error_rate"]),
-    )
-    return AnalysisReport(
-        run=dict(doc["run"]),
-        scores=scores,
-        ima=ima_report,
-        entity_freq=doc["entity_frequencies"],
-        correct_graph=_graph_from_obj(doc["graphs"]["correct"]),
-        incorrect_graph=_graph_from_obj(doc["graphs"]["incorrect"]),
-        correct_metrics=_metrics_from_obj(doc["metrics"]["correct"]),
-        incorrect_metrics=_metrics_from_obj(doc["metrics"]["incorrect"]),
-        requirements=tuple(
-            WeakPath(kind=w["kind"], subject=w["subject"], evidence=dict(w["evidence"]))
-            for w in doc["requirements"]
-        ),
-    )
-
-
 def export(report: AnalysisReport, format: str, destination: str | Path) -> list[Path]:
     """Write the report in one format under ``destination``.
 
-    Formats: "json" (lossless round-trip), "csv-bundle" (one file per
-    table), "dot" and "graphml" (one file per branch graph). All writes are
-    atomic (temp file + rename).
+    Formats: "json", "csv-bundle" (one file per table), "dot" and
+    "graphml" (one file per branch graph). All writes are atomic (temp file
+    + rename).
     """
     destination = Path(destination)
     written: list[Path] = []
@@ -351,8 +296,3 @@ def export(report: AnalysisReport, format: str, destination: str | Path) -> list
     else:
         raise ValueError(f"unknown export format {format!r}")
     return written
-
-
-def load_report(path: str | Path) -> AnalysisReport:
-    with open(path, encoding="utf-8") as handle:
-        return report_from_dict(json.load(handle))

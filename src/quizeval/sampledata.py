@@ -19,6 +19,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import write_atomic
+
 LETTERS = "ABCDE"
 
 _QUIZ_TITLES = (
@@ -344,9 +346,11 @@ def sample_fixture() -> dict[str, str]:
 
 
 def materialize_sample(dest: str | Path) -> SamplePaths:
-    """Write manifest, images, and replay fixture into ``dest``.
+    """Write images, replay fixture and manifest into ``dest``.
 
-    Deterministic: repeated materializations produce identical bytes.
+    Deterministic: repeated materializations produce identical bytes. The
+    manifest is written last and atomically, so an interrupted run leaves
+    no manifest, or an old one, rather than a truncated one.
     """
     dest = Path(dest)
     images_dir = dest / "images"
@@ -356,8 +360,8 @@ def materialize_sample(dest: str | Path) -> SamplePaths:
     for quiz in manifest["quizzes"]:
         for question in quiz["questions"]:
             (dest / question["image"]["path"]).write_bytes(png)
-    manifest_path = dest / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    fixture_path = dest / "replay_fixture.json"
-    fixture_path.write_text(json.dumps(sample_fixture(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    fixture_path = write_atomic(
+        dest / "replay_fixture.json", json.dumps(sample_fixture(), indent=2, sort_keys=True) + "\n"
+    )
+    manifest_path = write_atomic(dest / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return SamplePaths(manifest=manifest_path, fixture=fixture_path, images_dir=images_dir)

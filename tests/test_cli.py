@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
 
 import pytest
 
+from quizeval import cli, client, sampledata
 from quizeval.cli import main
+from quizeval.evaluator import load_transcript, save_transcript
 
 from .conftest import make_manifest, make_question
 
@@ -208,6 +211,38 @@ class TestAnalyze:
         assert code == 1
         assert "RunMismatch" in capsys.readouterr().err
 
+    def test_verdict_in_another_quiz(self, analyzed, sample_paths, tmp_path, capsys):
+        run_out, _ = analyzed
+        transcript = load_transcript(run_out / "transcript.json")
+        first = dataclasses.replace(transcript.verdicts[0], quiz_id="quiz8")
+        moved = tmp_path / "moved.json"
+        save_transcript(dataclasses.replace(transcript, verdicts=(first,) + transcript.verdicts[1:]), moved)
+        code = run_cli("analyze", "--transcript", str(moved), "--manifest", str(sample_paths.manifest),
+                       "--out", str(tmp_path / "moved-out"))
+        assert code == 1
+        assert f"error: RunMismatchError: verdict for {first.question_id!r} disagrees" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_top_k_below_one_costs_no_calls(self, analyzed, sample_paths, tmp_path, capsys, monkeypatch,
+                                            top_k, source):
+        run_out, _ = analyzed
+        calls = []
+        monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+        monkeypatch.setattr(client, "complete_text", lambda *a, **kw: calls.append(a) or "")
+        argv = ["analyze", "--transcript", str(run_out / "transcript.json"),
+                "--manifest", str(sample_paths.manifest), "--extractor", "llm", "--out", str(tmp_path / "k")]
+        if source == "flag":
+            argv += ["--top-k", str(top_k)]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"top_k": top_k}))
+            argv += ["--config", str(config_path)]
+        assert run_cli(*argv) == 1
+        assert f"error: ConfigError: --top-k must be at least 1, got {top_k}" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "k").exists()
+
     def test_malformed_transcript_exits_one(self, analyzed, sample_paths, tmp_path, capsys):
         run_out, _ = analyzed
         doc = json.loads((run_out / "transcript.json").read_text())
@@ -275,6 +310,70 @@ def test_config_file_values_are_checked(command, doc, sample_paths, tmp_path, ca
     assert "error: ConfigError: config key" in err and repr(next(iter(doc))) in err
 
 
+def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"temperature": 1}))
+    bodies = {"flag": [], "config": []}
+    monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+    for source, argv in (("flag", ["--temperature", "1"]), ("config", ["--config", str(config_path)])):
+        def transport(url, body, headers, sent=bodies[source]):
+            sent.append(body)
+            return 200, json.dumps({"choices": [{"message": {"content": "Correct Choice:A"}}], "model": "m"})
+
+        monkeypatch.setattr(client, "_default_transport", transport)
+        assert run_cli("run", "--manifest", str(sample_paths.manifest), "--backend", "live",
+                       *argv, "--out", str(tmp_path / source)) == 0
+    assert len(bodies["flag"]) == 79 and b'"temperature": 1.0' in bodies["flag"][0]
+    assert bodies["flag"] == bodies["config"]
+    flag, config = (_digest(tmp_path / source / "transcript.json", drop_timestamp=True) for source in bodies)
+    assert flag == config
+
+
+def _config_settable_flags():
+    # Read from the parser itself, so a flag added later is covered too.
+    _, commands = cli._build_parser()
+    return [
+        pytest.param(name, action, id=f"{name}-{action.dest}")
+        for name in ("run", "analyze")
+        for action in commands[name]._actions
+        if action.option_strings and not action.required and action.dest not in ("help", "config")
+    ]
+
+
+def _config_argv(command, doc, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    required = ["--transcript", "t.json", "--manifest", "m.json"] if command == "analyze" else []
+    return [command, "--config", str(config_path)] + required
+
+
+def test_config_keys_are_the_optional_flags():
+    _, commands = cli._build_parser()
+    assert set(cli._config_flags(commands)) == {
+        "manifest", "backend", "fixture", "parallelism", "out", "lexicon", "extractor", "top_k",
+        "tag_threshold", "model", "max_tokens", "endpoint", "temperature", "rules_file", "min_interval",
+    }
+
+
+@pytest.mark.parametrize("command,action", _config_settable_flags())
+def test_every_optional_flag_is_a_config_key(command, action, tmp_path):
+    if action.choices is not None:
+        value, wrong = [action.choices[-1]], [5, None, True, "not-a-choice"]
+    elif action.type is int:
+        value, wrong = [3], ["3", 1.5, None, True]
+    elif action.type is float:
+        value, wrong = [2, 0.5], ["0.5", None, False]
+    else:
+        value, wrong = ["x"], [5, 0.5, None, True, ["x"]]
+    for v in value:
+        args = cli._parse_args(_config_argv(command, {action.dest: v}, tmp_path))
+        converted, expected = getattr(args, action.dest), action.type(v) if action.type else v
+        assert converted == expected and type(converted) is type(expected)
+    for v in wrong:
+        with pytest.raises(cli.ConfigError, match=f"config key {action.dest!r} must be"):
+            cli._parse_args(_config_argv(command, {action.dest: v}, tmp_path))
+
+
 class TestSample:
     def test_materializes_bundle(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -289,6 +388,17 @@ class TestSample:
         run_cli("sample", "--out", str(second))
         assert (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
         assert (first / "replay_fixture.json").read_bytes() == (second / "replay_fixture.json").read_bytes()
+
+    def test_manifest_is_written_last(self, tmp_path, capsys, monkeypatch):
+        out, written, real = tmp_path / "s", [], sampledata.write_atomic
+
+        def recording(path, text):
+            written.append((path.name, len(list((out / "images").glob("*.png")))))
+            return real(path, text)
+
+        monkeypatch.setattr(sampledata, "write_atomic", recording)
+        assert run_cli("sample", "--out", str(out)) == 0
+        assert written == [("replay_fixture.json", 79), ("manifest.json", 79)]
 
 
 def _digest(path, *, drop_timestamp: bool = False) -> str:
