@@ -1,8 +1,8 @@
 """quizeval: evaluate multimodal chat models on image-paired multiple-choice
 quizzes and mine the transcripts for weak knowledge paths."""
 
-from .client import ChatResponse, ClientError, MalformedFixtureError, RetriesExhaustedError, complete, make_live_completion, open_replay
-from .corpus import CorpusError, CorpusValidationError, MalformedManifestError, QuizCorpus, Question, corpus_stats, load_corpus
+from .client import ChatResponse, ClientError, MalformedFixtureError, RetriesExhaustedError, make_live_completion, open_replay
+from .corpus import CorpusError, CorpusValidationError, MalformedManifestError, QuizCorpus, Question, load_corpus
 from .evaluator import RunTranscript, Verdict, extract_choice, load_transcript, run_evaluation, save_transcript, score
 from .ima import IMAReport, analyze_images
 from .kg import EntityGraph, GraphMetrics, UndefinedDensityError, build_graph, compute_metrics, connected_components, density, top_degree
@@ -44,10 +44,8 @@ __all__ = [
     "build_graph",
     "build_prompt",
     "build_report",
-    "complete",
     "compute_metrics",
     "connected_components",
-    "corpus_stats",
     "density",
     "entity_frequencies",
     "export",

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import client, ner, reporting
-from .corpus import CorpusValidationError, MalformedManifestError, QuizCorpus, load_corpus
+from .corpus import CorpusError, CorpusValidationError, QuizCorpus, load_corpus
 from .evaluator import RunTranscript, load_transcript, run_evaluation, score
 from .prompting import (
     DEFAULT_ENDPOINT_URL, DEFAULT_MAX_TOKENS, DEFAULT_MODEL_ID, EngineConfig, PromptError, RulesOfConduct,
@@ -127,7 +127,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _print_corpus_errors(exc: Exception) -> None:
+def _print_corpus_errors(exc: CorpusError) -> None:
     if isinstance(exc, CorpusValidationError):
         for issue in exc.issues:
             print(f"  {issue}", file=sys.stderr)
@@ -137,16 +137,14 @@ def _print_corpus_errors(exc: Exception) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        corpus = load_corpus(args.manifest)
-    except (MalformedManifestError, CorpusValidationError) as exc:
-        _print_corpus_errors(exc)
-        return EXIT_CONFIG
+    corpus = load_corpus(args.manifest)
     print(f"{len(corpus.quizzes)} quizzes, {corpus.question_count} questions, 0 errors")
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.parallelism < 1:
+        raise ConfigError(f"--parallelism must be at least 1, got {args.parallelism}")
     config = _engine_config(args)
     if args.rules_file is not None:
         try:
@@ -170,15 +168,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.manifest is None:
         raise ConfigError("a corpus manifest is required (--manifest or config file)")
-    try:
-        corpus = load_corpus(args.manifest)
-    except (MalformedManifestError, CorpusValidationError) as exc:
-        _print_corpus_errors(exc)
-        return EXIT_CONFIG
+    corpus = load_corpus(args.manifest)
 
     transcript_path = args.out / "transcript.json"
+    # Replay has no I/O to overlap, so a thread pool would only slow it down.
+    parallelism = args.parallelism if args.backend == "live" else 1
     transcript = run_evaluation(
-        corpus, rules, config, completion, args.parallelism,
+        corpus, rules, config, completion, parallelism,
         backend=args.backend, transcript_path=transcript_path,
     )
     summary = score(transcript)
@@ -212,11 +208,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         transcript = load_transcript(args.transcript)
     except OSError as exc:
         raise ConfigError(f"cannot read transcript {args.transcript}: {exc}") from exc
-    try:
-        corpus = load_corpus(args.manifest)
-    except (MalformedManifestError, CorpusValidationError) as exc:
-        _print_corpus_errors(exc)
-        return EXIT_CONFIG
+    corpus = load_corpus(args.manifest)
     _check_transcript_matches_corpus(transcript, corpus)
 
     lexicon = ner.EntityLexicon.from_json_file(args.lexicon) if args.lexicon is not None else ner.load_default_lexicon()
@@ -282,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
             client.MalformedFixtureError, ner.ExtractorUnavailableError,
             ner.LexiconError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CorpusError as exc:
+        _print_corpus_errors(exc)
         return EXIT_CONFIG
     except (client.ClientError, OSError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import requests
 from .prompting import EngineConfig, PromptEnvelope
 
 REQUEST_TIMEOUT_SECONDS = 120.0
-DEFAULT_MAX_RETRIES = 3
+MAX_RETRIES = 3
 _BACKOFF_BASE_SECONDS = 1.0
 
 ERROR_KINDS = ("Auth", "RateLimit", "Timeout", "Server", "Malformed", "Transport")
@@ -133,17 +133,22 @@ def _execute(
     config: EngineConfig,
     api_key: str,
     *,
-    max_retries: int,
     transport: Transport | None,
     sleep: Callable[[float], None],
 ) -> tuple[str, str | None, float]:
-    """POST one prompt, retrying retryable failures; returns the response
-    content, the model name the endpoint reports and the latency in ms."""
+    """POST one prompt and return the response content, the model name the
+    endpoint reports and the latency in ms.
+
+    Retryable failures (rate limit, timeout, server, transport) are retried
+    up to ``MAX_RETRIES`` times with 1s/2s/4s backoff; the final failure is
+    raised as RetriesExhaustedError. Non-retryable failures raise
+    immediately.
+    """
     body = request_body(prompt, config)
     transport = transport or _default_transport
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     last_error: ClientError | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         started = time.perf_counter()
         try:
             try:
@@ -163,31 +168,9 @@ def _execute(
             last_error = err
             if not err.retryable:
                 raise
-            if attempt < max_retries:
+            if attempt < MAX_RETRIES:
                 sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
-    raise RetriesExhaustedError(last_error, max_retries + 1)
-
-
-def complete(
-    envelope: PromptEnvelope,
-    config: EngineConfig,
-    api_key: str,
-    *,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    transport: Transport | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> ChatResponse:
-    """Deliver one envelope to the live endpoint and return its response.
-
-    Retryable failures (rate limit, timeout, server, transport) are retried
-    up to ``max_retries`` times with 1s/2s/4s backoff; the final failure is
-    raised as RetriesExhaustedError. Non-retryable failures raise
-    immediately. The envelope is never mutated.
-    """
-    content, engine_echo, latency_ms = _execute(
-        envelope, config, api_key, max_retries=max_retries, transport=transport, sleep=sleep
-    )
-    return ChatResponse(envelope.question_id, content, latency_ms, engine_echo)
+    raise RetriesExhaustedError(last_error, MAX_RETRIES + 1)
 
 
 def complete_text(
@@ -195,25 +178,25 @@ def complete_text(
     config: EngineConfig,
     api_key: str,
     *,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     transport: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
     """Text-only completion against the same endpoint, with the same retry
     policy; used by the model-assisted entity extractor."""
-    return _execute(prompt_text, config, api_key, max_retries=max_retries, transport=transport, sleep=sleep)[0]
+    return _execute(prompt_text, config, api_key, transport=transport, sleep=sleep)[0]
 
 
 def make_live_completion(
     config: EngineConfig,
     api_key: str,
     *,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     min_interval: float = 0.0,
     transport: Transport | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> CompletionFn:
-    """Bind config and credentials into a completion function.
+    """Bind config and credentials into a completion function that
+    delivers one envelope to the live endpoint (see ``_execute`` for the
+    retry policy); the envelope is never mutated.
 
     ``min_interval`` enforces a client-side minimum spacing between request
     starts (seconds); 0 disables it. Safe for concurrent invocation.
@@ -228,9 +211,8 @@ def make_live_completion(
                 if wait > 0:
                     sleep(wait)
                 last_start[0] = time.monotonic()
-        return complete(
-            envelope, config, api_key, max_retries=max_retries, transport=transport, sleep=sleep
-        )
+        content, engine_echo, latency_ms = _execute(envelope, config, api_key, transport=transport, sleep=sleep)
+        return ChatResponse(envelope.question_id, content, latency_ms, engine_echo)
 
     return completion
 

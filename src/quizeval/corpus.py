@@ -127,13 +127,6 @@ class QuizCorpus:
             yield from quiz.questions
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    total_questions: int
-    per_quiz: dict[str, int]
-    tag_histogram: dict[str, int]
-
-
 def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     """Load and fully validate a corpus manifest.
 
@@ -158,8 +151,8 @@ def _corpus_from_dict(doc: dict, base_dir: Path) -> QuizCorpus:
     issues: list[ValidationIssue] = []
 
     vocab_raw = doc.get("tag_vocabulary")
-    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) for t in vocab_raw):
-        raise MalformedManifestError("tag_vocabulary must be an array of strings")
+    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) and t for t in vocab_raw):
+        raise MalformedManifestError("tag_vocabulary must be an array of non-empty strings")
     vocabulary = frozenset(vocab_raw)
 
     quizzes_raw = doc.get("quizzes")
@@ -331,18 +324,4 @@ def _parse_image(
     if not ok:
         return None
     return ImageRef(path=path, domain_tag=tag)
-
-
-def corpus_stats(corpus: QuizCorpus) -> CorpusStats:
-    """Per-quiz question counts plus a histogram of domain tags."""
-    per_quiz = {quiz.id: len(quiz.questions) for quiz in corpus.quizzes}
-    histogram: dict[str, int] = {}
-    for question in corpus.iter_questions():
-        tag = question.image.domain_tag
-        histogram[tag] = histogram.get(tag, 0) + 1
-    return CorpusStats(
-        total_questions=corpus.question_count,
-        per_quiz=per_quiz,
-        tag_histogram=dict(sorted(histogram.items())),
-    )
 

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .atomic import write_atomic
 from .client import ChatResponse, ClientError
@@ -74,6 +74,9 @@ class Verdict:
     error: str | None = None
 
 
+_VERDICT_FIELD_TYPES = get_type_hints(Verdict)
+
+
 @dataclass(frozen=True)
 class RunMetadata:
     model_id: str
@@ -107,39 +110,30 @@ class RunTranscript:
     verdicts: tuple[Verdict, ...]
 
 
-def _verdict_for_response(question: Question, response: ChatResponse) -> Verdict:
-    letter = extract_choice(response.response_text)
-    if letter is None:
-        error = "ParseFailure"
-    elif letter not in question.choice_letters:
-        error = "ExtractedButInvalid"
+def _verdict(question: Question, response_text: str, client_error: ClientError | None = None) -> Verdict:
+    """Score one response. A request that failed (``client_error``) gets
+    empty response text, no letter and error "ClientError:<kind>"."""
+    if client_error is not None:
+        letter, error = None, f"ClientError:{client_error.kind}"
     else:
-        error = None
+        letter = extract_choice(response_text)
+        if letter is None:
+            error = "ParseFailure"
+        elif letter not in question.choice_letters:
+            error = "ExtractedButInvalid"
+        else:
+            error = None
     is_correct = letter is not None and letter == question.correct_letter
     return Verdict(
         question_id=question.id,
         quiz_id=question.quiz_id,
         domain_tag=question.image.domain_tag,
-        raw_response=response.response_text,
+        raw_response=response_text,
         extracted_letter=letter,
         correct_letter=question.correct_letter,
         is_correct=is_correct,
-        analysis_text=response.response_text if is_correct else question.explanation,
+        analysis_text=response_text if is_correct else question.explanation,
         error=error,
-    )
-
-
-def _verdict_for_error(question: Question, error: ClientError) -> Verdict:
-    return Verdict(
-        question_id=question.id,
-        quiz_id=question.quiz_id,
-        domain_tag=question.image.domain_tag,
-        raw_response="",
-        extracted_letter=None,
-        correct_letter=question.correct_letter,
-        is_correct=False,
-        analysis_text=question.explanation,
-        error=f"ClientError:{error.kind}",
     )
 
 
@@ -170,10 +164,10 @@ def run_evaluation(
     def evaluate_one(question: Question) -> Verdict:
         envelope = build_prompt(question, rules)
         try:
-            response = completion(envelope)
+            response_text = completion(envelope).response_text
         except ClientError as err:
-            return _verdict_for_error(question, err)
-        return _verdict_for_response(question, response)
+            return _verdict(question, "", err)
+        return _verdict(question, response_text)
 
     if parallelism == 1:
         verdicts = [evaluate_one(q) for q in corpus.iter_questions()]
@@ -243,21 +237,24 @@ def transcript_to_dict(transcript: RunTranscript) -> dict:
 
 def transcript_from_dict(doc: dict) -> RunTranscript:
     """Rebuild a transcript; any malformed document raises ValueError: wrong
-    shape or keys, a verdict whose ``is_correct`` breaks the scoring rule,
-    or stored scores that differ from the verdicts' scores."""
+    shape or keys, a verdict field of the wrong JSON type, a verdict whose
+    ``is_correct`` breaks the scoring rule, or stored scores that differ
+    from the verdicts' scores."""
     if not isinstance(doc, dict) or doc.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
         raise ValueError(f"not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript document")
     try:
         transcript = RunTranscript(
             run=RunMetadata(**doc["run"]), verdicts=tuple(Verdict(**v) for v in doc["verdicts"])
         )
-        scores = _scores_to_dict(transcript)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
     for v in transcript.verdicts:
+        for name, expected in _VERDICT_FIELD_TYPES.items():
+            if not isinstance(getattr(v, name), expected):
+                raise ValueError(f"verdict for {v.question_id!r}: {name} has the wrong type")
         if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
             raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
-    if doc.get("scores") != scores:
+    if doc.get("scores") != _scores_to_dict(transcript):
         raise ValueError("stored scores differ from the scores of the verdicts")
     return transcript
 

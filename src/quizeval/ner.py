@@ -163,11 +163,7 @@ class LlmExtractor:
     lines with undeclared types are dropped.
     """
 
-    def __init__(self, complete_text: Callable[[str], str] | None, entity_types: Iterable[str]):
-        if complete_text is None:
-            raise ExtractorUnavailableError(
-                "model-assisted extraction needs a configured completion backend"
-            )
+    def __init__(self, complete_text: Callable[[str], str], entity_types: Iterable[str]):
         self.complete_text = complete_text
         self.entity_types = tuple(t.upper() for t in entity_types)
 

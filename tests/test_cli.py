@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from quizeval import cli, client, sampledata
+from quizeval import cli, client, evaluator, sampledata
 from quizeval.cli import main
 from quizeval.evaluator import load_transcript, save_transcript
 
@@ -90,6 +90,28 @@ class TestRun:
             doc["run"].pop("timestamp")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_replay_starts_no_thread_pool(self, sample_paths, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replay started a thread pool")
+
+        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", no_pool)
+        assert run_cli(
+            "run", "--manifest", str(sample_paths.manifest),
+            "--backend", "replay", "--fixture", str(sample_paths.fixture),
+            "--parallelism", "8", "--out", str(tmp_path / "out"),
+        ) == 0
+        assert load_transcript(tmp_path / "out" / "transcript.json").verdicts
+
+    def test_replay_rejects_parallelism_below_one(self, sample_paths, tmp_path, capsys):
+        code = run_cli(
+            "run", "--manifest", str(sample_paths.manifest),
+            "--backend", "replay", "--fixture", str(sample_paths.fixture),
+            "--parallelism", "0", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "error: ConfigError: --parallelism must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_manifest_exits_one(self, manifest_factory, tmp_path, capsys):
         path = manifest_factory(make_manifest({"qz1": [make_question("q1", correct="F")]}))
@@ -253,6 +275,17 @@ class TestAnalyze:
                        "--out", str(tmp_path / "broken-out"))
         assert code == 1
         assert "error: ValueError: malformed transcript" in capsys.readouterr().err
+
+    def test_verdict_field_of_wrong_type_exits_one(self, analyzed, sample_paths, tmp_path, capsys):
+        run_out, _ = analyzed
+        doc = json.loads((run_out / "transcript.json").read_text())
+        doc["verdicts"][0]["analysis_text"] = 5
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = run_cli("analyze", "--transcript", str(broken), "--manifest", str(sample_paths.manifest),
+                       "--out", str(tmp_path / "broken-out"))
+        assert code == 1
+        assert "error: ValueError: verdict for 'q101': analysis_text has the wrong type" in capsys.readouterr().err
 
     def test_missing_transcript_exits_one(self, sample_paths, tmp_path, capsys):
         code = run_cli("analyze", "--transcript", str(tmp_path / "absent.json"),

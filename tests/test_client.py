@@ -10,7 +10,6 @@ from quizeval.client import (
     ClientError,
     MalformedFixtureError,
     RetriesExhaustedError,
-    complete,
     complete_text,
     make_live_completion,
     open_replay,
@@ -132,7 +131,7 @@ class TestRequestBody:
 class TestLiveCompletion:
     def test_success(self):
         transport = FakeTransport([ok_response("All good. Choice:B")])
-        response = complete(envelope(), CONFIG, "sk-key", transport=transport, sleep=lambda s: None)
+        response = make_live_completion(CONFIG, "sk-key", transport=transport, sleep=lambda s: None)(envelope())
         assert response.response_text == "All good. Choice:B"
         assert response.engine_echo == "test-model"
         assert response.question_id == "q1"
@@ -144,8 +143,8 @@ class TestLiveCompletion:
         first = FakeTransport([ok_response("x")])
         second = FakeTransport([ok_response("x")])
         env = envelope()
-        complete(env, CONFIG, "key-one", transport=first, sleep=lambda s: None)
-        complete(env, CONFIG, "key-two", transport=second, sleep=lambda s: None)
+        make_live_completion(CONFIG, "key-one", transport=first, sleep=lambda s: None)(env)
+        make_live_completion(CONFIG, "key-two", transport=second, sleep=lambda s: None)(env)
         assert first.calls[0][1] == second.calls[0][1]
         assert first.calls[0][2]["Authorization"] != second.calls[0][2]["Authorization"]
 
@@ -153,7 +152,7 @@ class TestLiveCompletion:
         transport = FakeTransport([(401, "denied")])
         sleeps: list[float] = []
         with pytest.raises(ClientError) as excinfo:
-            complete(envelope(), CONFIG, "bad-key", transport=transport, sleep=sleeps.append)
+            make_live_completion(CONFIG, "bad-key", transport=transport, sleep=sleeps.append)(envelope())
         assert excinfo.value.kind == "Auth"
         assert not excinfo.value.retryable
         assert sleeps == []
@@ -162,7 +161,7 @@ class TestLiveCompletion:
     def test_rate_limit_retried_with_backoff(self):
         transport = FakeTransport([(429, "slow down"), (429, "slow down"), ok_response("fine")])
         sleeps: list[float] = []
-        response = complete(envelope(), CONFIG, "key", transport=transport, sleep=sleeps.append)
+        response = make_live_completion(CONFIG, "key", transport=transport, sleep=sleeps.append)(envelope())
         assert response.response_text == "fine"
         assert sleeps == [1.0, 2.0]
         assert len(transport.calls) == 3
@@ -171,7 +170,7 @@ class TestLiveCompletion:
         transport = FakeTransport([(500, "boom")] * 4)
         sleeps: list[float] = []
         with pytest.raises(RetriesExhaustedError) as excinfo:
-            complete(envelope(), CONFIG, "key", transport=transport, sleep=sleeps.append)
+            make_live_completion(CONFIG, "key", transport=transport, sleep=sleeps.append)(envelope())
         assert excinfo.value.kind == "Server"
         assert excinfo.value.last_error.kind == "Server"
         assert not excinfo.value.retryable
@@ -180,26 +179,26 @@ class TestLiveCompletion:
 
     def test_timeout_maps_to_timeout_kind(self):
         transport = FakeTransport([requests.Timeout("too slow"), ok_response("ok")])
-        response = complete(envelope(), CONFIG, "key", transport=transport, sleep=lambda s: None)
+        response = make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
         assert response.response_text == "ok"
 
     def test_connection_error_maps_to_transport_kind(self):
         transport = FakeTransport([requests.ConnectionError("refused")] * 4)
         with pytest.raises(RetriesExhaustedError) as excinfo:
-            complete(envelope(), CONFIG, "key", transport=transport, sleep=lambda s: None)
+            make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
         assert excinfo.value.kind == "Transport"
 
     def test_malformed_payload_not_retried(self):
         transport = FakeTransport([(200, "not json")])
         with pytest.raises(ClientError) as excinfo:
-            complete(envelope(), CONFIG, "key", transport=transport, sleep=lambda s: None)
+            make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
         assert excinfo.value.kind == "Malformed"
         assert len(transport.calls) == 1
 
     def test_empty_content_is_malformed(self):
         transport = FakeTransport([ok_response("")])
         with pytest.raises(ClientError) as excinfo:
-            complete(envelope(), CONFIG, "key", transport=transport, sleep=lambda s: None)
+            make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
         assert excinfo.value.kind == "Malformed"
 
     def test_retryable_invariants(self):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from quizeval.corpus import (
     CorpusValidationError,
     MalformedManifestError,
-    corpus_stats,
     load_corpus,
 )
 
@@ -63,6 +64,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusValidationError) as excinfo:
             load_corpus(path)
         assert "UnknownTag" in issue_kinds(excinfo.value)
+
+    def test_empty_tag_rejected(self, manifest_factory):
+        manifest = make_manifest({"qz1": [make_question("q1", tag="")]}, vocabulary=["CV", ""])
+        path = manifest_factory(manifest)
+        with pytest.raises(MalformedManifestError, match="tag_vocabulary"):
+            load_corpus(path)
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -124,21 +131,17 @@ class TestLoadCorpus:
 
 class TestCorpusStats:
     def test_sample_per_quiz_counts(self, sample_corpus):
-        stats = corpus_stats(sample_corpus)
-        assert stats.per_quiz["quiz7"] == 9
-        assert all(count == 10 for quiz_id, count in stats.per_quiz.items() if quiz_id != "quiz7")
-        assert stats.total_questions == 79
-
-    def test_singleton_histogram(self, manifest_factory):
-        path = manifest_factory(make_manifest({"qz1": [make_question("q1", tag="CV")]}))
-        stats = corpus_stats(load_corpus(path))
-        assert stats.tag_histogram == {"CV": 1}
+        per_quiz = {quiz.id: len(quiz.questions) for quiz in sample_corpus.quizzes}
+        assert per_quiz["quiz7"] == 9
+        assert all(count == 10 for quiz_id, count in per_quiz.items() if quiz_id != "quiz7")
+        assert sum(per_quiz.values()) == 79
 
     def test_totals_and_ownership(self, sample_corpus):
-        stats = corpus_stats(sample_corpus)
-        assert sum(stats.per_quiz.values()) == stats.total_questions == sample_corpus.question_count
-        assert sum(stats.tag_histogram.values()) == stats.total_questions
-        assert set(stats.tag_histogram) <= set(sample_corpus.tag_vocabulary)
+        per_quiz = {quiz.id: len(quiz.questions) for quiz in sample_corpus.quizzes}
+        tag_histogram = Counter(q.image.domain_tag for q in sample_corpus.iter_questions())
+        assert sum(per_quiz.values()) == sample_corpus.question_count
+        assert sum(tag_histogram.values()) == sample_corpus.question_count
+        assert set(tag_histogram) <= set(sample_corpus.tag_vocabulary)
         owners: dict[str, list[str]] = {}
         for quiz in sample_corpus.quizzes:
             for question in quiz.questions:

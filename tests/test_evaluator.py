@@ -293,6 +293,14 @@ class TestTranscriptValidation:
         with pytest.raises(ValueError, match="malformed"):
             transcript_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("analysis_text", 5), ("question_id", None), ("extracted_letter", 7), ("error", ["x"]), ("is_correct", 0),
+    ])
+    def test_field_of_wrong_type(self, doc, field, value):
+        doc["verdicts"][2][field] = value
+        with pytest.raises(ValueError, match=f"{field} has the wrong type"):
+            transcript_from_dict(doc)
+
     def test_is_correct_contradicts_letters(self, doc, sample_transcript):
         verdict = next(v for v in doc["verdicts"] if not v["is_correct"])
         verdict["is_correct"] = True

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from quizeval.evaluator import RunMetadata, RunTranscript, Verdict
@@ -59,10 +61,8 @@ class TestAnalyzeImages:
         assert all(0.0 <= rate <= 1.0 for rate in report.per_tag_error_rate.values())
 
     def test_per_tag_totals_match_corpus(self, sample_transcript, sample_corpus):
-        from quizeval.corpus import corpus_stats
-
         report = analyze_images(sample_transcript)
-        histogram = corpus_stats(sample_corpus).tag_histogram
+        histogram = Counter(q.image.domain_tag for q in sample_corpus.iter_questions())
         for tag, total in histogram.items():
             assert report.correct_hist.get(tag, 0) + report.incorrect_hist.get(tag, 0) == total
 

@@ -11,7 +11,6 @@ from quizeval.evaluator import RunMetadata, RunTranscript, Verdict
 from quizeval.ner import (
     EntityLexicon,
     EntityRecord,
-    ExtractorUnavailableError,
     GazetteerExtractor,
     LexiconError,
     LlmExtractor,
@@ -203,10 +202,6 @@ class TestLexicon:
 
 
 class TestLlmExtractor:
-    def test_requires_backend(self):
-        with pytest.raises(ExtractorUnavailableError):
-            LlmExtractor(None, ["DISEASE"])
-
     def test_parses_constrained_line_format(self):
         reply = "\n".join([
             "DISEASE | atherosclerosis",
