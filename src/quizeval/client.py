@@ -79,17 +79,25 @@ class ChatResponse:
     engine_echo: str | None
 
 
+_EMPTY_IMAGE_URL = b'{"url": ""}'
+
+
 def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
     """Serialize the chat-completions request: one user message with the
     prompt text, plus the image part when ``prompt`` is an envelope rather
-    than plain text. Byte-identical for identical (prompt, config) pairs."""
+    than plain text. Byte-identical for identical (prompt, config) pairs.
+
+    The image part is serialised with an empty URL, and the data URL's
+    base64 bytes are spliced in afterwards, so ``json.dumps`` never scans
+    or copies the image. The bytes equal those of serialising the full URL:
+    base64 needs no JSON escaping.
+    """
     if isinstance(prompt, str):
         content = [{"type": "text", "text": prompt}]
     else:
-        image_b64 = base64.b64encode(prompt.image_bytes).decode("ascii")
         content = [
             {"type": "text", "text": prompt.text},
-            {"type": "image_url", "image_url": {"url": f"data:{prompt.image_media_type};base64,{image_b64}"}},
+            {"type": "image_url", "image_url": {"url": ""}},
         ]
     payload: dict = {
         "model": config.model_id,
@@ -98,7 +106,15 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
     }
     if config.temperature is not None:
         payload["temperature"] = config.temperature
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    if isinstance(prompt, str):
+        return body
+    # Every '"' inside a JSON string is escaped, so no text or model id can
+    # produce the empty-URL object: the one occurrence is the image part's.
+    assert body.count(_EMPTY_IMAGE_URL) == 1
+    head, _, tail = body.partition(_EMPTY_IMAGE_URL)
+    url_prefix = json.dumps(f"data:{prompt.image_media_type};base64,")[1:-1].encode("ascii")
+    return b"".join((head, b'{"url": "', url_prefix, base64.b64encode(prompt.image_bytes), b'"}', tail))
 
 
 def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:

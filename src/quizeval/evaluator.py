@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, get_args, get_type_hints
 
 from .atomic import write_atomic
 from .client import ChatResponse, ClientError
@@ -74,9 +74,6 @@ class Verdict:
     error: str | None = None
 
 
-_VERDICT_FIELD_TYPES = get_type_hints(Verdict)
-
-
 @dataclass(frozen=True)
 class RunMetadata:
     model_id: str
@@ -87,6 +84,25 @@ class RunMetadata:
     timestamp: str
     backend: str
     payload_order: str = "text,image"
+
+
+def _json_field_types(cls) -> dict[str, tuple[type, ...]]:
+    """The Python types each field of ``cls`` accepts from JSON: its
+    annotation, plus ``int`` where a ``float`` is declared."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        types = get_args(hint) or (hint,)
+        out[name] = types + (int,) if float in types else types
+    return out
+
+
+_VERDICT_FIELD_TYPES = _json_field_types(Verdict)
+_RUN_FIELD_TYPES = _json_field_types(RunMetadata)
+
+
+def _has_json_type(value, types: tuple[type, ...]) -> bool:
+    # bool is a subclass of int, but a JSON boolean is never a number.
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -237,9 +253,9 @@ def transcript_to_dict(transcript: RunTranscript) -> dict:
 
 def transcript_from_dict(doc: dict) -> RunTranscript:
     """Rebuild a transcript; any malformed document raises ValueError: wrong
-    shape or keys, a verdict field of the wrong JSON type, a verdict whose
-    ``is_correct`` breaks the scoring rule, or stored scores that differ
-    from the verdicts' scores."""
+    shape or keys, a run or verdict field of the wrong JSON type, an empty
+    domain tag, a verdict whose ``is_correct`` breaks the scoring rule, or
+    stored scores that differ from the verdicts' scores."""
     if not isinstance(doc, dict) or doc.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
         raise ValueError(f"not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript document")
     try:
@@ -248,10 +264,15 @@ def transcript_from_dict(doc: dict) -> RunTranscript:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
+    for name, types in _RUN_FIELD_TYPES.items():
+        if not _has_json_type(getattr(transcript.run, name), types):
+            raise ValueError(f"run: {name} has the wrong type")
     for v in transcript.verdicts:
-        for name, expected in _VERDICT_FIELD_TYPES.items():
-            if not isinstance(getattr(v, name), expected):
+        for name, types in _VERDICT_FIELD_TYPES.items():
+            if not _has_json_type(getattr(v, name), types):
                 raise ValueError(f"verdict for {v.question_id!r}: {name} has the wrong type")
+        if not v.domain_tag:
+            raise ValueError(f"verdict for {v.question_id!r}: domain_tag is empty")
         if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
             raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
     if doc.get("scores") != _scores_to_dict(transcript):

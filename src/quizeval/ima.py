@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from .evaluator import RunTranscript
 
 
-class MissingTagError(Exception):
-    """A verdict arrived without a domain tag."""
-
-
 @dataclass(frozen=True)
 class IMAReport:
     correct_hist: dict[str, int]
@@ -35,8 +31,6 @@ def analyze_images(transcript: RunTranscript) -> IMAReport:
     correct: dict[str, int] = {}
     incorrect: dict[str, int] = {}
     for verdict in transcript.verdicts:
-        if not verdict.domain_tag:
-            raise MissingTagError(f"verdict for {verdict.question_id!r} has no domain tag")
         hist = correct if verdict.is_correct else incorrect
         hist[verdict.domain_tag] = hist.get(verdict.domain_tag, 0) + 1
     rates = {

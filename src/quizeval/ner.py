@@ -67,7 +67,6 @@ class EntityLexicon:
             raise LexiconError("lexicon has no entity types")
         self.entries: dict[str, tuple[str, ...]] = {}
         self._index: dict[tuple[str, ...], tuple[str, str]] = {}
-        self._max_len = 0
         for entity_type, patterns in entries.items():
             patterns = tuple(patterns)
             if not patterns:
@@ -82,7 +81,10 @@ class EntityLexicon:
                         f"pattern {pattern!r} maps to both {self._index[toks][0]!r} and {entity_type!r}"
                     )
                 self._index[toks] = (entity_type, normalize_name(pattern))
-                self._max_len = max(self._max_len, len(toks))
+        lengths: dict[str, set[int]] = {}
+        for toks in self._index:
+            lengths.setdefault(toks[0], set()).add(len(toks))
+        self._lengths_by_first = {first: tuple(sorted(ls, reverse=True)) for first, ls in lengths.items()}
 
     @property
     def entity_types(self) -> tuple[str, ...]:
@@ -91,9 +93,10 @@ class EntityLexicon:
     def lookup(self, toks: tuple[str, ...]) -> tuple[str, str] | None:
         return self._index.get(toks)
 
-    @property
-    def max_pattern_len(self) -> int:
-        return self._max_len
+    def pattern_lengths(self, first: str) -> tuple[int, ...]:
+        """Token lengths of the patterns that start with ``first``, longest
+        first; empty when none does."""
+        return self._lengths_by_first.get(first, ())
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EntityLexicon":
@@ -137,7 +140,9 @@ class GazetteerExtractor:
         i = 0
         n = len(toks)
         while i < n:
-            for length in range(min(self.lexicon.max_pattern_len, n - i), 0, -1):
+            for length in self.lexicon.pattern_lengths(toks[i]):
+                if i + length > n:
+                    continue
                 hit = self.lexicon.lookup(tuple(toks[i : i + length]))
                 if hit is not None:
                     found.append(hit)

@@ -2,11 +2,14 @@
 
 Nothing here shares code with the package: density counts pairs directly,
 components come from a full pairwise reachability closure, degrees from a
-plain edge scan, and gazetteer matches from exhaustive span enumeration.
+plain edge scan, gazetteer matches from exhaustive span enumeration, and
+request bodies from one ``json.dumps`` of the whole payload.
 """
 
 from __future__ import annotations
 
+import base64
+import json
 from itertools import combinations
 
 
@@ -77,3 +80,20 @@ def bf_longest_matches(
         else:
             position += 1
     return chosen
+
+
+def bf_request_body(
+    text: str, image: tuple[str, bytes] | None, model_id: str, max_tokens: int, temperature: float | None
+) -> bytes:
+    """The chat-completions body serialised whole by ``json.dumps``: one user
+    message with the text part and, when ``image`` (media type, bytes) is
+    given, a base64 data-URL image part."""
+    content: list[dict] = [{"type": "text", "text": text}]
+    if image is not None:
+        media_type, data = image
+        url = f"data:{media_type};base64,{base64.b64encode(data).decode('ascii')}"
+        content.append({"type": "image_url", "image_url": {"url": url}})
+    payload: dict = {"model": model_id, "max_tokens": max_tokens, "messages": [{"role": "user", "content": content}]}
+    if temperature is not None:
+        payload["temperature"] = temperature
+    return json.dumps(payload, sort_keys=True).encode("utf-8")

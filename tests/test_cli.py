@@ -3,10 +3,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quizeval
 from quizeval import cli, client, evaluator, sampledata
 from quizeval.cli import main
 from quizeval.evaluator import load_transcript, save_transcript
@@ -287,6 +292,18 @@ class TestAnalyze:
         assert code == 1
         assert "error: ValueError: verdict for 'q101': analysis_text has the wrong type" in capsys.readouterr().err
 
+    def test_run_field_of_wrong_type_exits_one(self, analyzed, sample_paths, tmp_path, capsys):
+        run_out, _ = analyzed
+        doc = json.loads((run_out / "transcript.json").read_text())
+        doc["run"]["max_tokens"] = "x"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = run_cli("analyze", "--transcript", str(broken), "--manifest", str(sample_paths.manifest),
+                       "--out", str(tmp_path / "broken-out"))
+        assert code == 1
+        assert "error: ValueError: run: max_tokens has the wrong type" in capsys.readouterr().err
+        assert not (tmp_path / "broken-out" / "report.json").exists()
+
     def test_missing_transcript_exits_one(self, sample_paths, tmp_path, capsys):
         code = run_cli("analyze", "--transcript", str(tmp_path / "absent.json"),
                        "--manifest", str(sample_paths.manifest), "--out", str(tmp_path / "out"))
@@ -432,6 +449,21 @@ class TestSample:
         monkeypatch.setattr(sampledata, "write_atomic", recording)
         assert run_cli("sample", "--out", str(out)) == 0
         assert written == [("replay_fixture.json", 79), ("manifest.json", 79)]
+
+
+@pytest.mark.parametrize("argv, code, said", [
+    (["--help"], 0, b"usage: quizeval"),
+    (["validate", "--manifest", None], 0, b"8 quizzes, 79 questions, 0 errors"),
+    (["validate", "--manifest", "absent.json"], 1, b"error: cannot read manifest absent.json"),
+])
+def test_python_dash_m(argv, code, said, sample_paths, tmp_path):
+    argv = [str(sample_paths.manifest) if arg is None else arg for arg in argv]
+    src = str(Path(quizeval.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "quizeval", *argv], cwd=tmp_path, env=env, capture_output=True,
+                          timeout=60)
+    assert done.returncode == code
+    assert said in done.stdout + done.stderr
 
 
 def _digest(path, *, drop_timestamp: bool = False) -> str:

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import base64
 import json
+import random
+import tracemalloc
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quizeval.client import (
     ClientError,
@@ -15,7 +19,10 @@ from quizeval.client import (
     open_replay,
     request_body,
 )
+from quizeval.corpus import IMAGE_MEDIA_TYPES
 from quizeval.prompting import EngineConfig, PromptEnvelope
+
+from .bruteforce import bf_request_body
 
 CONFIG = EngineConfig(endpoint_url="https://example.test/v1/chat/completions")
 
@@ -126,6 +133,45 @@ class TestRequestBody:
             b'{"image_url": {"url": "data:image/png;base64,iVBOR2J5dGVz"}, "type": "image_url"}'
         ) + tail
         assert request_body("find entities", config) == head + b'"find entities", "type": "text"}' + tail
+
+
+# Texts built from arbitrary strings and the characters JSON must escape,
+# including the empty-URL object the encoder splices at.
+_texts = st.lists(
+    st.one_of(st.text(), st.sampled_from(['{"url": ""}', '"', "\\", "\x00", "\u00e9", "\U0001f600"]))
+).map("".join)
+_envelopes = st.builds(
+    PromptEnvelope, question_id=st.just("q1"), rules_text=_texts, stem=_texts, choices_text=_texts,
+    image_bytes=st.binary(max_size=64), image_media_type=st.sampled_from(sorted(set(IMAGE_MEDIA_TYPES.values()))),
+)
+
+
+class TestRequestBodyEncoding:
+    @given(
+        prompt=st.one_of(_envelopes, _texts),
+        model_id=_texts,
+        max_tokens=st.integers(min_value=1, max_value=10**6),
+        temperature=st.none() | st.floats(min_value=0.0),
+    )
+    def test_equals_whole_payload_serialisation(self, prompt, model_id, max_tokens, temperature):
+        config = EngineConfig(model_id=model_id, max_tokens=max_tokens, temperature=temperature)
+        if isinstance(prompt, str):
+            expected = bf_request_body(prompt, None, model_id, max_tokens, temperature)
+        else:
+            image = (prompt.image_media_type, prompt.image_bytes)
+            expected = bf_request_body(prompt.text, image, model_id, max_tokens, temperature)
+        assert request_body(prompt, config) == expected
+
+    def test_peak_memory_below_three_bodies(self):
+        env = PromptEnvelope("q1", "Rules. Correct Choice:", "Stem.", "A. one", random.Random(0).randbytes(200_000),
+                             "image/png")
+        tracemalloc.start()
+        try:
+            body = request_body(env, CONFIG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(body)
 
 
 class TestLiveCompletion:

@@ -301,6 +301,25 @@ class TestTranscriptValidation:
         with pytest.raises(ValueError, match=f"{field} has the wrong type"):
             transcript_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_tokens", "x"), ("max_tokens", True), ("max_tokens", 1.5), ("temperature", "hot"),
+        ("temperature", False), ("model_id", 5), ("timestamp", None),
+    ])
+    def test_run_field_of_wrong_type(self, doc, field, value):
+        doc["run"][field] = value
+        with pytest.raises(ValueError, match=f"run: {field} has the wrong type"):
+            transcript_from_dict(doc)
+
+    @pytest.mark.parametrize("temperature", [0.2, 1])
+    def test_integer_accepted_for_float(self, doc, temperature):
+        doc["run"]["temperature"] = temperature
+        assert transcript_from_dict(doc).run.temperature == temperature
+
+    def test_empty_domain_tag(self, doc):
+        doc["verdicts"][4]["domain_tag"] = ""
+        with pytest.raises(ValueError, match="domain_tag is empty"):
+            transcript_from_dict(doc)
+
     def test_is_correct_contradicts_letters(self, doc, sample_transcript):
         verdict = next(v for v in doc["verdicts"] if not v["is_correct"])
         verdict["is_correct"] = True
