@@ -13,14 +13,15 @@ into errors.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-
-import requests
 
 from .prompting import EngineConfig, PromptEnvelope
 
@@ -118,8 +119,21 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
 
 
 def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:
-    resp = requests.post(url, data=body, headers=headers, timeout=REQUEST_TIMEOUT_SECONDS)
-    return resp.status_code, resp.text
+    """POST ``body`` over a fresh connection and return the status and the
+    reply decoded as UTF-8 (undecodable bytes replaced).
+
+    Proxies come from ``HTTP(S)_PROXY``/``NO_PROXY`` through ``urlopen``'s
+    default opener, and TLS is verified with ``ssl``'s default context. A
+    307 or 308 redirect is not followed: its status is returned.
+    """
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        response = urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_SECONDS)
+    except urllib.error.HTTPError as err:
+        with err:
+            return err.code, err.read().decode("utf-8", "replace")
+    with response:
+        return response.status, response.read().decode("utf-8", "replace")
 
 
 def _classify_status(status: int, text: str) -> ClientError:
@@ -169,12 +183,13 @@ def _execute(
         try:
             try:
                 status, text = transport(config.endpoint_url, body, headers)
-            except requests.Timeout as exc:
+            except TimeoutError as exc:
                 raise ClientError("Timeout", f"request timed out: {exc}") from exc
-            except requests.ConnectionError as exc:
-                raise ClientError("Transport", f"connection failed: {exc}") from exc
-            except requests.RequestException as exc:
-                raise ClientError("Transport", f"request failed: {exc}") from exc
+            except urllib.error.URLError as exc:
+                kind = "Timeout" if isinstance(exc.reason, TimeoutError) else "Transport"
+                raise ClientError(kind, f"connection failed: {exc.reason}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                raise ClientError("Transport", f"request failed: {exc!r}") from exc
             if status != 200:
                 raise _classify_status(status, text)
             content, engine_echo = _parse_completion(text)

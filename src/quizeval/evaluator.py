@@ -10,6 +10,7 @@ and graph stages consume.
 from __future__ import annotations
 
 import json
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -253,9 +254,10 @@ def transcript_to_dict(transcript: RunTranscript) -> dict:
 
 def transcript_from_dict(doc: dict) -> RunTranscript:
     """Rebuild a transcript; any malformed document raises ValueError: wrong
-    shape or keys, a run or verdict field of the wrong JSON type, an empty
-    domain tag, a verdict whose ``is_correct`` breaks the scoring rule, or
-    stored scores that differ from the verdicts' scores."""
+    shape or keys, a run or verdict field of the wrong JSON type, a
+    non-finite temperature, an empty domain tag, a verdict whose
+    ``is_correct`` breaks the scoring rule, or stored scores that differ
+    from the verdicts' scores."""
     if not isinstance(doc, dict) or doc.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
         raise ValueError(f"not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript document")
     try:
@@ -267,6 +269,8 @@ def transcript_from_dict(doc: dict) -> RunTranscript:
     for name, types in _RUN_FIELD_TYPES.items():
         if not _has_json_type(getattr(transcript.run, name), types):
             raise ValueError(f"run: {name} has the wrong type")
+    if transcript.run.temperature is not None and not math.isfinite(transcript.run.temperature):
+        raise ValueError("run: temperature is not finite")
     for v in transcript.verdicts:
         for name, types in _VERDICT_FIELD_TYPES.items():
             if not _has_json_type(getattr(v, name), types):

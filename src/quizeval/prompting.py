@@ -8,6 +8,7 @@ that letter extraction downstream is well-posed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
@@ -67,8 +68,8 @@ class EngineConfig:
         parsed = urlparse(self.endpoint_url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ValueError(f"endpoint_url is not a valid http(s) URL: {self.endpoint_url!r}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)

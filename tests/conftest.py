@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import pytest
+
+import quizeval
 
 from quizeval.client import open_replay
 from quizeval.corpus import load_corpus
@@ -23,6 +26,12 @@ def tiny_png() -> bytes:
 
 
 TINY_PNG = tiny_png()
+
+
+def child_env(env: dict[str, str]) -> dict[str, str]:
+    """``env`` with this checkout's sources first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(quizeval.__file__).resolve().parent.parent)
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
 
 
 def make_question(qid: str, *, tag: str = "CV", correct: str = "A", image: str | None = None,

@@ -7,16 +7,14 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import quizeval
 from quizeval import cli, client, evaluator, sampledata
 from quizeval.cli import main
 from quizeval.evaluator import load_transcript, save_transcript
 
-from .conftest import make_manifest, make_question
+from .conftest import child_env, make_manifest, make_question
 
 
 def run_cli(*argv: str) -> int:
@@ -125,6 +123,17 @@ class TestRun:
         code = run_cli("run", "--manifest", str(path), "--backend", "replay",
                        "--fixture", str(fixture), "--out", str(tmp_path / "out"))
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature_exits_one(self, value, sample_paths, tmp_path, capsys):
+        code = run_cli(
+            "run", "--manifest", str(sample_paths.manifest),
+            "--backend", "replay", "--fixture", str(sample_paths.fixture),
+            "--temperature", value, "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "error: ConfigError: temperature must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, sample_paths, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -458,12 +467,31 @@ class TestSample:
 ])
 def test_python_dash_m(argv, code, said, sample_paths, tmp_path):
     argv = [str(sample_paths.manifest) if arg is None else arg for arg in argv]
-    src = str(Path(quizeval.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "quizeval", *argv], cwd=tmp_path, env=env, capture_output=True,
-                          timeout=60)
+    done = subprocess.run([sys.executable, "-m", "quizeval", *argv], cwd=tmp_path, env=child_env(dict(os.environ)),
+                          capture_output=True, timeout=60)
     assert done.returncode == code
     assert said in done.stdout + done.stderr
+
+
+_WITHOUT_REQUESTS = """
+import sys
+from quizeval import cli
+assert "requests" not in sys.modules
+sys.modules["requests"] = None  # from here on, `import requests` raises ImportError
+manifest, fixture, out = sys.argv[1:]
+sys.exit(cli.main(["validate", "--manifest", manifest])
+         or cli.main(["run", "--manifest", manifest, "--backend", "replay", "--fixture", fixture, "--out", out]))
+"""
+
+
+def test_cli_runs_without_requests(sample_paths, tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_REQUESTS, str(sample_paths.manifest), str(sample_paths.fixture),
+         str(tmp_path / "out")], env=child_env(dict(os.environ)), capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert b"total 66/79" in done.stdout
+    assert (tmp_path / "out" / "transcript.json").is_file()
 
 
 def _digest(path, *, drop_timestamp: bool = False) -> str:

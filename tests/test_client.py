@@ -1,15 +1,24 @@
 from __future__ import annotations
 
 import base64
+import http.client
+import http.server
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
+import threading
 import tracemalloc
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quizeval import client
 from quizeval.client import (
     ClientError,
     MalformedFixtureError,
@@ -23,6 +32,7 @@ from quizeval.corpus import IMAGE_MEDIA_TYPES
 from quizeval.prompting import EngineConfig, PromptEnvelope
 
 from .bruteforce import bf_request_body
+from .conftest import child_env
 
 CONFIG = EngineConfig(endpoint_url="https://example.test/v1/chat/completions")
 
@@ -151,7 +161,7 @@ class TestRequestBodyEncoding:
         prompt=st.one_of(_envelopes, _texts),
         model_id=_texts,
         max_tokens=st.integers(min_value=1, max_value=10**6),
-        temperature=st.none() | st.floats(min_value=0.0),
+        temperature=st.none() | st.floats(min_value=0.0, allow_infinity=False),
     )
     def test_equals_whole_payload_serialisation(self, prompt, model_id, max_tokens, temperature):
         config = EngineConfig(model_id=model_id, max_tokens=max_tokens, temperature=temperature)
@@ -224,15 +234,26 @@ class TestLiveCompletion:
         assert len(transport.calls) == 4
 
     def test_timeout_maps_to_timeout_kind(self):
-        transport = FakeTransport([requests.Timeout("too slow"), ok_response("ok")])
-        response = make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
-        assert response.response_text == "ok"
+        for error in (TimeoutError("timed out"), urllib.error.URLError(TimeoutError("timed out"))):
+            transport = FakeTransport([error, ok_response("ok")])
+            response = make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
+            assert response.response_text == "ok"
+            transport = FakeTransport([error] * 4)
+            with pytest.raises(RetriesExhaustedError) as excinfo:
+                make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
+            assert excinfo.value.kind == "Timeout", error
 
     def test_connection_error_maps_to_transport_kind(self):
-        transport = FakeTransport([requests.ConnectionError("refused")] * 4)
-        with pytest.raises(RetriesExhaustedError) as excinfo:
-            make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
-        assert excinfo.value.kind == "Transport"
+        for error in (
+            ConnectionRefusedError("refused"),
+            urllib.error.URLError(ConnectionRefusedError("refused")),
+            http.client.RemoteDisconnected("closed"),
+            http.client.IncompleteRead(b"{", 99),
+        ):
+            transport = FakeTransport([error] * 4)
+            with pytest.raises(RetriesExhaustedError) as excinfo:
+                make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
+            assert excinfo.value.kind == "Transport", error
 
     def test_malformed_payload_not_retried(self):
         transport = FakeTransport([(200, "not json")])
@@ -270,3 +291,216 @@ class TestLiveCompletion:
         body = json.loads(transport.calls[0][1])
         (message,) = body["messages"]
         assert message["content"] == [{"type": "text", "text": "find entities"}]
+
+
+def reply(status: int, body: bytes):
+    def act(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    return act
+
+
+def ok_reply(text: str):
+    return reply(200, ok_response(text)[1].encode("utf-8"))
+
+
+def redirect(handler):
+    handler.send_response(307)
+    handler.send_header("Location", "/elsewhere")
+    handler.send_header("Content-Length", "0")
+    handler.end_headers()
+
+
+def drop(handler):
+    """Close the connection without a reply."""
+
+
+def truncated(handler):
+    handler.send_response(200)
+    handler.send_header("Content-Length", "1000")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices": ')
+
+
+def stall_before_reply(handler):
+    handler.server.release.wait(30)
+
+
+def stall_in_body(handler):
+    truncated(handler)
+    handler.server.release.wait(30)
+
+
+class Loopback:
+    """HTTP server on 127.0.0.1, served from a thread: it answers each
+    request with the next scripted action and records what it received."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.received: list[tuple[str, str, dict, bytes]] = []
+        loopback = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                loopback.received.append((self.command, self.path, dict(self.headers), body))
+                loopback.script.pop(0)(self)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        self.server.release = threading.Event()
+        self.base = f"http://127.0.0.1:{self.server.server_port}"
+        self.url = self.base + "/v1/chat/completions"
+        self.thread = threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.05})
+        self.thread.start()
+
+    def close(self):
+        self.server.release.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # an inherited proxy must not capture loopback traffic
+    servers = []
+
+    def start(*script):
+        servers.append(Loopback(script))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def config_for(url: str) -> EngineConfig:
+    return EngineConfig(endpoint_url=url)
+
+
+class TestDefaultTransport:
+    """The real transport against a loopback server; every failure must end
+    in a typed ClientError, and no response may be left unclosed."""
+
+    @pytest.fixture(autouse=True)
+    def all_closed(self, monkeypatch):
+        # The ResourceWarning of an unclosed response comes, if at all, from
+        # the garbage collector at some later point, so check each one here.
+        opened, urlopen = [], urllib.request.urlopen
+
+        def recording(*args, **kwargs):
+            try:
+                opened.append(urlopen(*args, **kwargs))
+            except urllib.error.HTTPError as err:
+                opened.append(err)
+                raise
+            return opened[-1]
+
+        monkeypatch.setattr(urllib.request, "urlopen", recording)
+        yield
+        assert all(response.closed for response in opened)
+
+    def test_ok_reply_and_exact_wire_body(self, loopback):
+        server = loopback(ok_reply("Looks right. Correct Choice:B"))
+        config = config_for(server.url)
+        response = make_live_completion(config, "sk-key", sleep=lambda s: None)(envelope())
+        assert response.response_text == "Looks right. Correct Choice:B"
+        assert response.engine_echo == "test-model"
+        ((method, path, headers, body),) = server.received
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert body == request_body(envelope(), config)
+        assert headers["Authorization"] == "Bearer sk-key"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_rate_limit_then_ok(self, loopback):
+        server = loopback(reply(429, b'{"error": "slow down"}'), ok_reply("DISEASE | gout"))
+        sleeps: list[float] = []
+        assert complete_text("find entities", config_for(server.url), "key", sleep=sleeps.append) == "DISEASE | gout"
+        assert sleeps == [1.0]
+        assert [body for *_, body in server.received] == [request_body("find entities", config_for(server.url))] * 2
+
+    @pytest.mark.parametrize("action", [drop, truncated], ids=["dropped", "truncated"])
+    def test_broken_reply_is_transport(self, action, loopback, monkeypatch):
+        monkeypatch.setattr(client, "MAX_RETRIES", 0)
+        server = loopback(action)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            complete_text("x", config_for(server.url), "key", sleep=lambda s: None)
+        assert excinfo.value.kind == "Transport"
+        assert excinfo.value.attempts == 1
+
+    def test_refused_port_is_transport(self, monkeypatch):
+        monkeypatch.setattr(client, "MAX_RETRIES", 0)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            complete_text("x", config_for(f"http://127.0.0.1:{port}/v1"), "key", sleep=lambda s: None)
+        assert excinfo.value.kind == "Transport"
+
+    @pytest.mark.parametrize("action", [stall_before_reply, stall_in_body], ids=["before-reply", "in-body"])
+    def test_slow_server_is_timeout(self, action, loopback, monkeypatch):
+        monkeypatch.setattr(client, "MAX_RETRIES", 0)
+        monkeypatch.setattr(client, "REQUEST_TIMEOUT_SECONDS", 0.2)
+        server = loopback(action)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            complete_text("x", config_for(server.url), "key", sleep=lambda s: None)
+        assert excinfo.value.kind == "Timeout"
+
+    def test_redirect_is_not_followed(self, loopback):
+        server = loopback(redirect)
+        with pytest.raises(ClientError) as excinfo:
+            complete_text("x", config_for(server.url), "key", sleep=lambda s: None)
+        assert excinfo.value.kind == "Malformed"
+        assert excinfo.value.detail.startswith("unexpected HTTP 307")
+        assert len(server.received) == 1
+
+    def test_non_utf8_error_body_is_malformed(self, loopback):
+        server = loopback(reply(400, b"bad \xff\xfe request"))
+        with pytest.raises(ClientError) as excinfo:
+            complete_text("x", config_for(server.url), "key", sleep=lambda s: None)
+        assert excinfo.value.kind == "Malformed"
+        assert excinfo.value.detail == "unexpected HTTP 400: bad \ufffd\ufffd request"
+
+
+_THROUGH_PROXY = """
+import sys
+from quizeval.client import complete_text
+from quizeval.prompting import EngineConfig
+print(complete_text("find entities", EngineConfig(endpoint_url=sys.argv[1]), "sk-key", sleep=lambda s: None))
+"""
+
+
+def run_through_proxy(endpoint: str, **proxy_env: str) -> subprocess.CompletedProcess:
+    """``complete_text`` in a fresh process, whose proxy settings are only
+    ``proxy_env``, with every warning an error."""
+    env = {key: value for key, value in os.environ.items() if not key.lower().endswith("_proxy")}
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _THROUGH_PROXY, endpoint],
+                          env=child_env({**env, **proxy_env}), capture_output=True, timeout=60)
+
+
+class TestProxy:
+    def test_request_goes_through_http_proxy_and_is_retried(self, loopback):
+        proxy = loopback(reply(429, b"{}"), ok_reply("via proxy"))
+        endpoint = "http://example.invalid/v1/chat/completions"
+        done = run_through_proxy(endpoint, http_proxy=proxy.base)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"via proxy\n", b"")
+        assert [(method, path) for method, path, _, _ in proxy.received] == [("POST", endpoint)] * 2
+        assert all(headers["Authorization"] == "Bearer sk-key" for _, _, headers, _ in proxy.received)
+        assert all(headers["Host"] == "example.invalid" for _, _, headers, _ in proxy.received)
+
+    def test_no_proxy_bypasses_the_proxy(self, loopback):
+        proxy = loopback()
+        endpoint = loopback(ok_reply("direct"))
+        # The endpoint is a loopback address so the bypassed request resolves no name.
+        done = run_through_proxy(endpoint.url, http_proxy=proxy.base, no_proxy="127.0.0.1")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"direct\n", b"")
+        assert proxy.received == []
+        assert [(method, path) for method, path, _, _ in endpoint.received] == [("POST", "/v1/chat/completions")]

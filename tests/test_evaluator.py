@@ -315,6 +315,14 @@ class TestTranscriptValidation:
         doc["run"]["temperature"] = temperature
         assert transcript_from_dict(doc).run.temperature == temperature
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature(self, doc, temperature, tmp_path):
+        doc["run"]["temperature"] = temperature
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json.loads accepts
+        with pytest.raises(ValueError, match="run: temperature is not finite"):
+            load_transcript(path)
+
     def test_empty_domain_tag(self, doc):
         doc["verdicts"][4]["domain_tag"] = ""
         with pytest.raises(ValueError, match="domain_tag is empty"):

@@ -127,6 +127,8 @@ class TestEngineConfig:
         {"endpoint_url": "not a url"},
         {"endpoint_url": "ftp://host/x"},
         {"temperature": -0.1},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
