@@ -118,17 +118,28 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
     return b"".join((head, b'{"url": "', url_prefix, base64.b64encode(prompt.image_bytes), b'"}', tail))
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect: a followed one would carry the bearer header to
+    wherever ``Location`` points, so every 30x reply is returned as is."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
 def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:
     """POST ``body`` over a fresh connection and return the status and the
     reply decoded as UTF-8 (undecodable bytes replaced).
 
-    Proxies come from ``HTTP(S)_PROXY``/``NO_PROXY`` through ``urlopen``'s
-    default opener, and TLS is verified with ``ssl``'s default context. A
-    307 or 308 redirect is not followed: its status is returned.
+    Proxies come from ``HTTP(S)_PROXY``/``NO_PROXY`` through the opener's
+    default proxy handler, and TLS is verified with ``ssl``'s default
+    context. No redirect is followed: its status is returned.
     """
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        response = urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_SECONDS)
+        response = _OPENER.open(request, timeout=REQUEST_TIMEOUT_SECONDS)
     except urllib.error.HTTPError as err:
         with err:
             return err.code, err.read().decode("utf-8", "replace")

@@ -12,7 +12,6 @@ import sys
 import threading
 import tracemalloc
 import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import given
@@ -308,11 +307,14 @@ def ok_reply(text: str):
     return reply(200, ok_response(text)[1].encode("utf-8"))
 
 
-def redirect(handler):
-    handler.send_response(307)
-    handler.send_header("Location", "/elsewhere")
-    handler.send_header("Content-Length", "0")
-    handler.end_headers()
+def redirect(status: int, location: str):
+    def act(handler):
+        handler.send_response(status)
+        handler.send_header("Location", location)
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    return act
 
 
 def drop(handler):
@@ -346,9 +348,11 @@ class Loopback:
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 loopback.received.append((self.command, self.path, dict(self.headers), body))
                 loopback.script.pop(0)(self)
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass
@@ -394,17 +398,17 @@ class TestDefaultTransport:
     def all_closed(self, monkeypatch):
         # The ResourceWarning of an unclosed response comes, if at all, from
         # the garbage collector at some later point, so check each one here.
-        opened, urlopen = [], urllib.request.urlopen
+        opened, open_ = [], client._OPENER.open
 
         def recording(*args, **kwargs):
             try:
-                opened.append(urlopen(*args, **kwargs))
+                opened.append(open_(*args, **kwargs))
             except urllib.error.HTTPError as err:
                 opened.append(err)
                 raise
             return opened[-1]
 
-        monkeypatch.setattr(urllib.request, "urlopen", recording)
+        monkeypatch.setattr(client._OPENER, "open", recording)
         yield
         assert all(response.closed for response in opened)
 
@@ -455,12 +459,17 @@ class TestDefaultTransport:
         assert excinfo.value.kind == "Timeout"
 
     def test_redirect_is_not_followed(self, loopback):
-        server = loopback(redirect)
-        with pytest.raises(ClientError) as excinfo:
-            complete_text("x", config_for(server.url), "key", sleep=lambda s: None)
-        assert excinfo.value.kind == "Malformed"
-        assert excinfo.value.detail.startswith("unexpected HTTP 307")
-        assert len(server.received) == 1
+        # A followed redirect would carry the bearer header to the new location.
+        statuses = (301, 302, 303, 307, 308)
+        elsewhere = loopback(*[ok_reply("redirected")] * len(statuses))
+        server = loopback(*[redirect(status, elsewhere.url) for status in statuses])
+        for status in statuses:
+            with pytest.raises(ClientError) as excinfo:
+                complete_text("x", config_for(server.url), "sk-key", sleep=lambda s: None)
+            assert excinfo.value.kind == "Malformed"
+            assert excinfo.value.detail.startswith(f"unexpected HTTP {status}")
+        assert len(server.received) == len(statuses)
+        assert elsewhere.received == []
 
     def test_non_utf8_error_body_is_malformed(self, loopback):
         server = loopback(reply(400, b"bad \xff\xfe request"))
