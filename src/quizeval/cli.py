@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import client, ner, reporting
+from .atomic import read_json, read_text
 from .corpus import CorpusError, CorpusValidationError, QuizCorpus, load_corpus
 from .evaluator import RunTranscript, load_transcript, run_evaluation, score
 from .prompting import (
@@ -91,10 +92,7 @@ def _config_flags(commands: dict[str, _Parser]) -> dict[str, argparse.Action]:
 
 def _load_config_file(path: Path, flags: dict[str, argparse.Action]) -> dict:
     """Read a config file and convert each value with its flag's type."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    doc = read_json(path, ConfigError, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(doc) - set(flags)
@@ -147,11 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--parallelism must be at least 1, got {args.parallelism}")
     config = _engine_config(args)
     if args.rules_file is not None:
-        try:
-            rules_text = args.rules_file.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read rules file {args.rules_file}: {exc}") from exc
-        rules = RulesOfConduct(rules_text.strip())
+        rules = RulesOfConduct(read_text(args.rules_file, ConfigError, "rules file").strip())
     else:
         rules = RulesOfConduct()
 
@@ -204,10 +198,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # extraction calls and is caught even when both graphs are empty.
     if args.top_k < 1:
         raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
-    try:
-        transcript = load_transcript(args.transcript)
-    except OSError as exc:
-        raise ConfigError(f"cannot read transcript {args.transcript}: {exc}") from exc
+    transcript = load_transcript(args.transcript)
     corpus = load_corpus(args.manifest)
     _check_transcript_matches_corpus(transcript, corpus)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .atomic import read_json
 from .prompting import EngineConfig, PromptEnvelope
 
 REQUEST_TIMEOUT_SECONDS = 120.0
@@ -161,7 +162,7 @@ def _parse_completion(text: str) -> tuple[str, str | None]:
     try:
         doc = json.loads(text)
         content = doc["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise ClientError("Malformed", f"response is not chat-completions shaped: {exc}") from exc
     if not isinstance(content, str) or not content:
         raise ClientError("Malformed", "response content is empty or not text")
@@ -267,8 +268,6 @@ def open_replay(fixture_path: str | Path) -> CompletionFn:
     from the fixture raise ClientError(kind="Malformed"). The returned
     function is read-only after load and bit-deterministic.
     """
-    fixture_path = Path(fixture_path)
-
     def reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
         out: dict = {}
         for key, value in pairs:
@@ -277,14 +276,7 @@ def open_replay(fixture_path: str | Path) -> CompletionFn:
             out[key] = value
         return out
 
-    try:
-        raw = fixture_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedFixtureError(f"cannot read fixture {fixture_path}: {exc}") from exc
-    try:
-        mapping = json.loads(raw, object_pairs_hook=reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise MalformedFixtureError(f"fixture is not valid JSON: {exc}") from exc
+    mapping = read_json(fixture_path, MalformedFixtureError, "fixture", object_pairs_hook=reject_duplicates)
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise MalformedFixtureError("fixture must be a JSON object mapping question id to response text")
 

@@ -24,11 +24,12 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
+
+from .atomic import read_json
 
 LETTER_SEQUENCE = "ABCDE"
 MIN_CHOICES = 2
@@ -72,10 +73,12 @@ class CorpusValidationError(CorpusError):
 
 @dataclass(frozen=True)
 class ImageRef:
-    """A question's image: file location plus its domain tag (e.g. CV, SKIN)."""
+    """A question's image: file location, its domain tag (e.g. CV, SKIN) and
+    its media type (from ``IMAGE_MEDIA_TYPES``)."""
 
     path: Path
     domain_tag: str
+    media_type: str
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,7 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     CorpusValidationError carrying every issue found otherwise.
     """
     manifest_path = Path(manifest_path)
-    try:
-        raw = manifest_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedManifestError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedManifestError(f"manifest is not valid JSON: {exc}") from exc
+    doc = read_json(manifest_path, MalformedManifestError, "manifest")
     if not isinstance(doc, dict):
         raise MalformedManifestError("manifest top level must be a JSON object")
     return _corpus_from_dict(doc, base_dir=manifest_path.parent)
@@ -313,7 +309,8 @@ def _parse_image(
         ok = False
     rel = Path(raw["path"])
     path = rel if rel.is_absolute() else base_dir / rel
-    if path.suffix.lower() not in IMAGE_MEDIA_TYPES:
+    media_type = IMAGE_MEDIA_TYPES.get(path.suffix.lower())
+    if media_type is None:
         issues.append(
             ValidationIssue("MalformedManifest", f"question {qid}: image {path.name!r} is not a JPEG or PNG file")
         )
@@ -323,5 +320,5 @@ def _parse_image(
         ok = False
     if not ok:
         return None
-    return ImageRef(path=path, domain_tag=tag)
+    return ImageRef(path=path, domain_tag=tag, media_type=media_type)
 

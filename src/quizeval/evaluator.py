@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
-from .atomic import write_atomic
+from .atomic import read_json, write_atomic
 from .client import ChatResponse, ClientError
 from .corpus import Question, QuizCorpus
 from .prompting import EngineConfig, PromptEnvelope, RulesOfConduct, build_prompt
@@ -233,8 +233,8 @@ def score(transcript: RunTranscript) -> ScoreSummary:
     return ScoreSummary(per_quiz=per_quiz, correct=correct, total=total, ratio=ratio)
 
 
-def _scores_to_dict(transcript: RunTranscript) -> dict:
-    summary = score(transcript)
+def scores_to_dict(summary: ScoreSummary) -> dict:
+    """The serialised form of a score summary, in the transcript and the report alike."""
     return {
         "per_quiz": [asdict(s) for s in summary.per_quiz],
         "correct": summary.correct,
@@ -248,7 +248,7 @@ def transcript_to_dict(transcript: RunTranscript) -> dict:
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
         "run": asdict(transcript.run),
         "verdicts": [asdict(v) for v in transcript.verdicts],
-        "scores": _scores_to_dict(transcript),
+        "scores": scores_to_dict(score(transcript)),
     }
 
 
@@ -279,7 +279,7 @@ def transcript_from_dict(doc: dict) -> RunTranscript:
             raise ValueError(f"verdict for {v.question_id!r}: domain_tag is empty")
         if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
             raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
-    if doc.get("scores") != _scores_to_dict(transcript):
+    if doc.get("scores") != scores_to_dict(score(transcript)):
         raise ValueError("stored scores differ from the scores of the verdicts")
     return transcript
 
@@ -290,5 +290,5 @@ def save_transcript(transcript: RunTranscript, path: str | Path) -> Path:
 
 
 def load_transcript(path: str | Path) -> RunTranscript:
-    with open(path, encoding="utf-8") as handle:
-        return transcript_from_dict(json.load(handle))
+    """Read and check a transcript; an unreadable or malformed file raises ValueError."""
+    return transcript_from_dict(read_json(path, ValueError, "transcript"))

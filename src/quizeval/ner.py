@@ -11,14 +11,13 @@ entities co-occurring in one group later become graph edges.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
-from .atomic import write_csv
+from .atomic import read_json, write_csv
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -100,13 +99,7 @@ class EntityLexicon:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EntityLexicon":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LexiconError(f"lexicon is not valid JSON: {exc}") from exc
+        doc = read_json(path, LexiconError, "lexicon")
         if not isinstance(doc, dict) or not all(
             isinstance(k, str) and isinstance(v, list) and all(isinstance(p, str) for p in v)
             for k, v in doc.items()

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-from .corpus import IMAGE_MEDIA_TYPES, Question
+from .corpus import Question
 
 ANSWER_MARKER = "Correct Choice:"
 
@@ -38,7 +38,7 @@ class MarkerMissingError(PromptError):
 
 
 class ImageReadError(PromptError):
-    """The question's image could not be read or has an unsupported type."""
+    """The question's image could not be read."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ def build_prompt(question: Question, rules: RulesOfConduct) -> PromptEnvelope:
 
     Deterministic: identical inputs yield an identical envelope.
     """
-    suffix = question.image.path.suffix.lower()
-    media_type = IMAGE_MEDIA_TYPES.get(suffix)
-    if media_type is None:
-        raise ImageReadError(f"unsupported image type {suffix!r} for {question.image.path}")
     try:
         image_bytes = question.image.path.read_bytes()
     except OSError as exc:
@@ -116,5 +112,5 @@ def build_prompt(question: Question, rules: RulesOfConduct) -> PromptEnvelope:
         stem=question.stem,
         choices_text=render_choices(question),
         image_bytes=image_bytes,
-        image_media_type=media_type,
+        image_media_type=question.image.media_type,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .atomic import write_atomic, write_csv
-from .evaluator import RunTranscript, ScoreSummary, score
+from .evaluator import RunTranscript, ScoreSummary, score, scores_to_dict
 from .ima import IMAReport, analyze_images, ima_rows
 from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
 from .ner import EntityRecord, entity_frequencies
@@ -202,12 +202,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return {
         "schema_version": report.schema_version,
         "run": dict(report.run),
-        "scores": {
-            "per_quiz": [asdict(s) for s in report.scores.per_quiz],
-            "correct": report.scores.correct,
-            "total": report.scores.total,
-            "ratio": _r4(report.scores.ratio),
-        },
+        "scores": scores_to_dict(report.scores),
         "ima": {
             "correct": dict(report.ima.correct_hist),
             "incorrect": dict(report.ima.incorrect_hist),

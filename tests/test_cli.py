@@ -7,8 +7,11 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quizeval import cli, client, evaluator, sampledata
 from quizeval.cli import main
@@ -317,7 +320,7 @@ class TestAnalyze:
         code = run_cli("analyze", "--transcript", str(tmp_path / "absent.json"),
                        "--manifest", str(sample_paths.manifest), "--out", str(tmp_path / "out"))
         assert code == 1
-        assert "error: ConfigError: cannot read transcript" in capsys.readouterr().err
+        assert "error: ValueError: cannot read transcript" in capsys.readouterr().err
 
     def test_all_correct_transcript_degenerate_branch(self, manifest_factory, tmp_path, capsys):
         questions = [make_question(f"q{i}", correct="A") for i in range(3)]
@@ -431,6 +434,95 @@ def test_every_optional_flag_is_a_config_key(command, action, tmp_path):
     for v in wrong:
         with pytest.raises(cli.ConfigError, match=f"config key {action.dest!r} must be"):
             cli._parse_args(_config_argv(command, {action.dest: v}, tmp_path))
+
+
+def _input_argv(name, path, sample_paths, transcript, out):
+    """Arguments that make ``cli.main`` read ``path`` as the input ``name``
+    after every input it reads earlier is valid."""
+    inputs = {"manifest": sample_paths.manifest, "fixture": sample_paths.fixture, "transcript": transcript, name: path}
+    run = ["run", "--manifest", str(inputs["manifest"]), "--backend", "replay",
+           "--fixture", str(inputs["fixture"]), "--out", str(out)]
+    analyze = ["analyze", "--transcript", str(inputs["transcript"]), "--manifest", str(inputs["manifest"]),
+               "--out", str(out)]
+    return {
+        "manifest": run,
+        "fixture": run,
+        "transcript": analyze,
+        "config": ["run", "--config", str(path), "--out", str(out)],
+        "lexicon": analyze + ["--lexicon", str(path)],
+        "rules file": run + ["--rules-file", str(path)],
+    }[name]
+
+
+_BAD_FILES = {
+    "missing": None,
+    "directory": None,
+    "non-utf8": b"\xff\xfe{}",
+    "nested": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name,case", [
+    (name, case)
+    for name in ("manifest", "transcript", "fixture", "config", "lexicon", "rules file")
+    for case in _BAD_FILES
+    if not (name == "rules file" and case == "nested")  # the rules file is text, not JSON
+])
+def test_bad_input_file_exits_one_naming_it(name, case, sample_paths, sample_transcript, tmp_path, capsys):
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    elif _BAD_FILES[case] is not None:
+        path.write_bytes(_BAD_FILES[case])
+    transcript = save_transcript(sample_transcript, tmp_path / "transcript.json")
+    code = run_cli(*_input_argv(name, path, sample_paths, transcript, tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def mutation_bed(tmp_path_factory):
+    """A private sample bundle with its transcript, a run config file and a
+    small lexicon: the valid inputs that the property below mutates."""
+    root = tmp_path_factory.mktemp("mutation")
+    paths = sampledata.materialize_sample(root)
+    assert main(["run", "--manifest", str(paths.manifest), "--backend", "replay",
+                 "--fixture", str(paths.fixture), "--out", str(root)]) == 0
+    (root / "config.json").write_text(json.dumps({
+        "manifest": str(paths.manifest), "backend": "replay", "fixture": str(paths.fixture),
+        "model": "m", "temperature": 0.5,
+    }))
+    (root / "lexicon.json").write_text(json.dumps({"ORGAN": ["heart", "lung"], "DISEASE": ["gout"]}))
+    return root, paths
+
+
+_MUTATED = {"manifest": "manifest.json", "transcript": "transcript.json", "fixture": "replay_fixture.json",
+            "config": "config.json", "lexicon": "lexicon.json"}
+# Bytes that keep a mutated document JSON more often than a random byte does.
+_JSON_BYTES = list(b' "\\{}[],:0123456789.-eEtrufalsn')
+
+
+@pytest.mark.parametrize("name", list(_MUTATED))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_input_file_never_ends_in_a_traceback(name, data, mutation_bed):
+    root, paths = mutation_bed
+    original = (root / _MUTATED[name]).read_bytes()
+    cut = data.draw(st.none() | st.integers(0, len(original) - 1), label="truncate at")
+    new_byte = st.integers(0, 255) | st.sampled_from(_JSON_BYTES)
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(original) - 1), new_byte),
+                               min_size=0 if cut is not None else 1, max_size=3), label="byte edits")
+    mutated = bytearray(original)
+    for position, byte in edits:
+        mutated[position] = byte
+    path = root / "mutated.json"
+    path.write_bytes(bytes(mutated[:cut]))
+    argv = _input_argv(name, path, paths, root / "transcript.json", root / "out")
+    with mock.patch.dict(os.environ):
+        os.environ.pop(cli.API_KEY_ENV_VAR, None)
+        assert main(argv) in (0, 1, 2)
 
 
 class TestSample:

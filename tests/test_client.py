@@ -261,6 +261,13 @@ class TestLiveCompletion:
         assert excinfo.value.kind == "Malformed"
         assert len(transport.calls) == 1
 
+    def test_too_deeply_nested_reply_is_malformed(self):
+        transport = FakeTransport([(200, "[" * 100_000)])
+        with pytest.raises(ClientError) as excinfo:
+            complete_text("find entities", CONFIG, "key", transport=transport, sleep=lambda s: None)
+        assert excinfo.value.kind == "Malformed"
+        assert len(transport.calls) == 1
+
     def test_empty_content_is_malformed(self):
         transport = FakeTransport([ok_response("")])
         with pytest.raises(ClientError) as excinfo:

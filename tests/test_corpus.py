@@ -112,8 +112,9 @@ class TestLoadCorpus:
         with pytest.raises(CorpusValidationError):
             load_corpus(path)
 
-    def test_unsupported_image_encoding(self, manifest_factory, tmp_path):
-        question = make_question("q1", image="images/q1.gif")
+    @pytest.mark.parametrize("image", ["images/q1.gif", "images/q1.bmp"], ids=["gif", "bmp"])
+    def test_unsupported_image_encoding(self, image, manifest_factory, tmp_path):
+        question = make_question("q1", image=image)
         path = manifest_factory(make_manifest({"qz1": [question]}))
         with pytest.raises(CorpusValidationError) as excinfo:
             load_corpus(path)

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from quizeval import evaluator
-from quizeval.client import open_replay
+from quizeval.client import make_live_completion, open_replay
 from quizeval.corpus import load_corpus
 from quizeval.evaluator import (
     RunTranscript,
@@ -204,6 +204,24 @@ class TestRunLoop:
             run_evaluation(corpus, RulesOfConduct(), CONFIG, counting, 2, backend="replay", transcript_path=out)
         assert len(calls) <= position + 2
         assert not out.exists()
+
+    def test_too_deeply_nested_reply_is_one_malformed_verdict(self, sample_corpus):
+        lock = threading.Lock()
+        calls = []
+
+        def transport(url, body, headers):
+            with lock:
+                calls.append(body)
+                fifth = len(calls) == 5
+            if fifth:
+                return 200, "[" * 100_000
+            return 200, json.dumps({"choices": [{"message": {"content": "Correct Choice:A"}}]})
+
+        completion = make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)
+        transcript = run_evaluation(sample_corpus, RulesOfConduct(), CONFIG, completion, 2)
+        assert len(transcript.verdicts) == len(calls) == sample_corpus.question_count
+        assert [v.error for v in transcript.verdicts].count("ClientError:Malformed") == 1
+        assert {v.error for v in transcript.verdicts} <= {None, "ClientError:Malformed"}
 
 
 class TestScore:
