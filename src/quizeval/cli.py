@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,6 +55,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     shared.add_argument("--max-tokens", type=int, dest="max_tokens", default=DEFAULT_MAX_TOKENS)
     shared.add_argument("--endpoint", default=DEFAULT_ENDPOINT_URL)
     shared.add_argument("--temperature", type=float)
+    shared.add_argument("--parallelism", type=int, default=4, help="requests in flight (live run, LLM extraction)")
+    shared.add_argument("--min-interval", type=float, dest="min_interval", default=0.0,
+                        help="minimum seconds between request starts")
 
     p_validate = sub.add_parser("validate", help="check a corpus manifest and print a summary")
     p_validate.add_argument("--manifest", required=True, type=Path)
@@ -62,9 +66,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_run.add_argument("--manifest", type=Path)
     p_run.add_argument("--backend", choices=("live", "replay"), default="live")
     p_run.add_argument("--fixture", type=Path, help="replay fixture (required for --backend replay)")
-    p_run.add_argument("--parallelism", type=int, default=1)
     p_run.add_argument("--rules-file", type=Path, help="file with replacement rules-of-conduct text")
-    p_run.add_argument("--min-interval", type=float, dest="min_interval", default=0.0)
 
     p_analyze = sub.add_parser("analyze", parents=[shared], help="analyze a persisted transcript into a report bundle")
     p_analyze.add_argument("--transcript", required=True, type=Path)
@@ -94,7 +96,7 @@ def _load_config_file(path: Path, flags: dict[str, argparse.Action]) -> dict:
     """Read a config file and convert each value with its flag's type."""
     doc = read_json(path, ConfigError, "config file")
     if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(doc) - set(flags)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -140,9 +142,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require_at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
+def _check_request_settings(args: argparse.Namespace) -> None:
+    """Check the request settings both stages share, before anything is read."""
+    _require_at_least_one("--parallelism", args.parallelism)
+    # NaN would disable the spacing and inf would end in time.sleep's OverflowError.
+    if not (math.isfinite(args.min_interval) and args.min_interval >= 0):
+        raise ConfigError(f"--min-interval must be a finite number >= 0, got {args.min_interval}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.parallelism < 1:
-        raise ConfigError(f"--parallelism must be at least 1, got {args.parallelism}")
+    _check_request_settings(args)
     config = _engine_config(args)
     if args.rules_file is not None:
         rules = RulesOfConduct(read_text(args.rules_file, ConfigError, "rules file").strip())
@@ -196,15 +210,16 @@ def _check_transcript_matches_corpus(transcript: RunTranscript, corpus: QuizCorp
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # Checked here, not only in kg.top_degree, so a bad value costs no
     # extraction calls and is caught even when both graphs are empty.
-    if args.top_k < 1:
-        raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
+    _require_at_least_one("--top-k", args.top_k)
+    _check_request_settings(args)
     transcript = load_transcript(args.transcript)
     corpus = load_corpus(args.manifest)
     _check_transcript_matches_corpus(transcript, corpus)
 
     lexicon = ner.EntityLexicon.from_json_file(args.lexicon) if args.lexicon is not None else ner.load_default_lexicon()
     if args.extractor == "gazetteer":
-        extractor = ner.GazetteerExtractor(lexicon)
+        # Like replay, the gazetteer has no I/O to overlap: it runs serially.
+        extractor, parallelism = ner.GazetteerExtractor(lexicon), 1
     else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if not api_key:
@@ -212,11 +227,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"--extractor llm requires the {API_KEY_ENV_VAR} environment variable"
             )
         config = _engine_config(args)
-        extractor = ner.LlmExtractor(
-            lambda text: client.complete_text(text, config, api_key), lexicon.entity_types
-        )
+        wait_turn = client.request_spacer(args.min_interval)
 
-    records = ner.extract_from_transcript(transcript, extractor)
+        def complete(text: str) -> str:
+            wait_turn()
+            return client.complete_text(text, config, api_key)
+
+        extractor, parallelism = ner.LlmExtractor(complete, lexicon.entity_types), args.parallelism
+
+    records = ner.extract_from_transcript(transcript, extractor, parallelism)
     report = reporting.build_report(transcript, records, tag_threshold=args.tag_threshold, top_k=args.top_k)
 
     written = []

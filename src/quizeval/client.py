@@ -229,6 +229,26 @@ def complete_text(
     return _execute(prompt_text, config, api_key, transport=transport, sleep=sleep)[0]
 
 
+def request_spacer(min_interval: float, *, sleep: Callable[[float], None] = time.sleep) -> Callable[[], None]:
+    """A function to call before each request start: it sleeps as long as
+    needed to keep starts at least ``min_interval`` seconds apart, across
+    all threads that share it. With ``min_interval`` 0 it returns at once."""
+    lock = threading.Lock()
+    last_start = float("-inf")
+
+    def wait_turn() -> None:
+        nonlocal last_start
+        if min_interval <= 0:
+            return
+        with lock:
+            delay = last_start + min_interval - time.monotonic()
+            if delay > 0:
+                sleep(delay)
+            last_start = time.monotonic()
+
+    return wait_turn
+
+
 def make_live_completion(
     config: EngineConfig,
     api_key: str,
@@ -241,19 +261,13 @@ def make_live_completion(
     delivers one envelope to the live endpoint (see ``_execute`` for the
     retry policy); the envelope is never mutated.
 
-    ``min_interval`` enforces a client-side minimum spacing between request
-    starts (seconds); 0 disables it. Safe for concurrent invocation.
+    ``min_interval`` spaces request starts (see ``request_spacer``). Safe
+    for concurrent invocation.
     """
-    lock = threading.Lock()
-    last_start = [float("-inf")]
+    wait_turn = request_spacer(min_interval, sleep=sleep)
 
     def completion(envelope: PromptEnvelope) -> ChatResponse:
-        if min_interval > 0:
-            with lock:
-                wait = last_start[0] + min_interval - time.monotonic()
-                if wait > 0:
-                    sleep(wait)
-                last_start[0] = time.monotonic()
+        wait_turn()
         content, engine_echo, latency_ms = _execute(envelope, config, api_key, transport=transport, sleep=sleep)
         return ChatResponse(envelope.question_id, content, latency_ms, engine_echo)
 
@@ -278,7 +292,9 @@ def open_replay(fixture_path: str | Path) -> CompletionFn:
 
     mapping = read_json(fixture_path, MalformedFixtureError, "fixture", object_pairs_hook=reject_duplicates)
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
-        raise MalformedFixtureError("fixture must be a JSON object mapping question id to response text")
+        raise MalformedFixtureError(
+            f"fixture {fixture_path} must be a JSON object mapping question id to response text"
+        )
 
     def completion(envelope: PromptEnvelope) -> ChatResponse:
         text = mapping.get(envelope.question_id)

@@ -139,7 +139,7 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     manifest_path = Path(manifest_path)
     doc = read_json(manifest_path, MalformedManifestError, "manifest")
     if not isinstance(doc, dict):
-        raise MalformedManifestError("manifest top level must be a JSON object")
+        raise MalformedManifestError(f"manifest {manifest_path} must hold a JSON object at the top level")
     return _corpus_from_dict(doc, base_dir=manifest_path.parent)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Callable, get_args, get_type_hints
 from .atomic import read_json, write_atomic
 from .client import ChatResponse, ClientError
 from .corpus import Question, QuizCorpus
+from .pool import ordered_map
 from .prompting import EngineConfig, PromptEnvelope, RulesOfConduct, build_prompt
 
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -175,9 +175,6 @@ def run_evaluation(
     ``parallelism`` level produces the same transcript. When
     ``transcript_path`` is given the transcript is persisted before return.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-
     def evaluate_one(question: Question) -> Verdict:
         envelope = build_prompt(question, rules)
         try:
@@ -186,14 +183,7 @@ def run_evaluation(
             return _verdict(question, "", err)
         return _verdict(question, response_text)
 
-    if parallelism == 1:
-        verdicts = [evaluate_one(q) for q in corpus.iter_questions()]
-    else:
-        pool = ThreadPoolExecutor(max_workers=parallelism)
-        try:
-            verdicts = list(pool.map(evaluate_one, corpus.iter_questions()))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    verdicts = ordered_map(evaluate_one, tuple(corpus.iter_questions()), parallelism)
 
     metadata = RunMetadata(
         model_id=config.model_id,
@@ -252,14 +242,14 @@ def transcript_to_dict(transcript: RunTranscript) -> dict:
     }
 
 
-def transcript_from_dict(doc: dict) -> RunTranscript:
+def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
     """Rebuild a transcript; any malformed document raises ValueError: wrong
-    shape or keys, a run or verdict field of the wrong JSON type, a
-    non-finite temperature, an empty domain tag, a verdict whose
-    ``is_correct`` breaks the scoring rule, or stored scores that differ
-    from the verdicts' scores."""
+    shape (the message names ``source``) or keys, a run or verdict field of
+    the wrong JSON type, a non-finite temperature, an empty domain tag, a
+    verdict whose ``is_correct`` breaks the scoring rule, or stored scores
+    that differ from the verdicts' scores."""
     if not isinstance(doc, dict) or doc.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
-        raise ValueError(f"not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript document")
+        raise ValueError(f"{source} is not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript")
     try:
         transcript = RunTranscript(
             run=RunMetadata(**doc["run"]), verdicts=tuple(Verdict(**v) for v in doc["verdicts"])
@@ -291,4 +281,4 @@ def save_transcript(transcript: RunTranscript, path: str | Path) -> Path:
 
 def load_transcript(path: str | Path) -> RunTranscript:
     """Read and check a transcript; an unreadable or malformed file raises ValueError."""
-    return transcript_from_dict(read_json(path, ValueError, "transcript"))
+    return transcript_from_dict(read_json(path, ValueError, "transcript"), f"transcript {path}")

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
 from .atomic import read_json, write_csv
+from .pool import ordered_map
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -104,7 +105,7 @@ class EntityLexicon:
             isinstance(k, str) and isinstance(v, list) and all(isinstance(p, str) for p in v)
             for k, v in doc.items()
         ):
-            raise LexiconError("lexicon must map entity type to an array of patterns")
+            raise LexiconError(f"lexicon {path} must map entity type to an array of patterns")
         return cls(doc)
 
 
@@ -201,18 +202,23 @@ def extract_entities(
     return records
 
 
-def extract_from_transcript(transcript, extractor: Extractor) -> list[EntityRecord]:
-    """Run extraction over every verdict's analysis text.
+def extract_from_transcript(transcript, extractor: Extractor, parallelism: int = 1) -> list[EntityRecord]:
+    """Run extraction over every verdict's analysis text, on up to
+    ``parallelism`` worker threads (see ``pool.ordered_map``).
 
     Group ids are verdict ordinals, and each record's from_correct equals
     its verdict's correctness, so correct-branch records derive only from
     model responses and incorrect-branch records only from official
-    explanations.
+    explanations. Records come in verdict order at any ``parallelism``.
     """
-    records: list[EntityRecord] = []
-    for ordinal, verdict in enumerate(transcript.verdicts):
-        records.extend(extract_entities(verdict.analysis_text, ordinal, verdict.is_correct, extractor))
-    return records
+    verdicts = transcript.verdicts
+
+    def extract_one(ordinal: int) -> list[EntityRecord]:
+        verdict = verdicts[ordinal]
+        return extract_entities(verdict.analysis_text, ordinal, verdict.is_correct, extractor)
+
+    groups = ordered_map(extract_one, range(len(verdicts)), parallelism)
+    return [record for group in groups for record in group]
 
 
 def entity_frequencies(

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import struct
+import time
 import zlib
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import quizeval
 from quizeval.client import open_replay
 from quizeval.corpus import load_corpus
 from quizeval.evaluator import run_evaluation
+from quizeval.ner import GazetteerExtractor, load_default_lexicon
 from quizeval.prompting import EngineConfig, RulesOfConduct
 from quizeval.sampledata import SamplePaths, materialize_sample
 
@@ -32,6 +35,19 @@ def child_env(env: dict[str, str]) -> dict[str, str]:
     """``env`` with this checkout's sources first on PYTHONPATH, for a child interpreter."""
     src = str(Path(quizeval.__file__).resolve().parent.parent)
     return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
+_GAZETTEER = GazetteerExtractor(load_default_lexicon())
+
+
+def fake_entity_reply(prompt: str) -> str:
+    """An engine's entity reply to ``LlmExtractor``'s prompt, made offline:
+    the default gazetteer's matches in the prompt's text as "TYPE | name"
+    lines. It waits a random 0-5 ms first, as an endpoint takes time, so
+    concurrent calls finish out of order."""
+    time.sleep(random.uniform(0, 0.005))
+    text = prompt.split("Text:\n", 1)[1]
+    return "\n".join(f"{kind} | {name}" for kind, name in _GAZETTEER.extract(text))
 
 
 def make_question(qid: str, *, tag: str = "CV", correct: str = "A", image: str | None = None,

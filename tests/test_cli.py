@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quizeval import cli, client, evaluator, sampledata
+from quizeval import cli, client, pool, sampledata
 from quizeval.cli import main
 from quizeval.evaluator import load_transcript, save_transcript
 
-from .conftest import child_env, make_manifest, make_question
+from .conftest import child_env, fake_entity_reply, make_manifest, make_question
 
 
 def run_cli(*argv: str) -> int:
@@ -101,7 +101,7 @@ class TestRun:
         def no_pool(*args, **kwargs):
             raise AssertionError("replay started a thread pool")
 
-        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(pool, "Thread", no_pool)
         assert run_cli(
             "run", "--manifest", str(sample_paths.manifest),
             "--backend", "replay", "--fixture", str(sample_paths.fixture),
@@ -282,6 +282,102 @@ class TestAnalyze:
         assert calls == []
         assert not (tmp_path / "k").exists()
 
+    def test_llm_outputs_are_the_same_at_any_parallelism(self, analyzed, sample_paths, tmp_path, capsys,
+                                                         monkeypatch):
+        run_out, _ = analyzed
+        monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+        monkeypatch.setattr(client, "complete_text", lambda text, config, api_key, **kw: fake_entity_reply(text))
+        outputs = []
+        for parallelism in ("1", "4"):
+            out = tmp_path / f"p{parallelism}"
+            assert run_cli("analyze", "--transcript", str(run_out / "transcript.json"),
+                           "--manifest", str(sample_paths.manifest), "--extractor", "llm",
+                           "--parallelism", parallelism, "--out", str(out)) == 0
+            outputs.append([(out / name).read_bytes() for name in ("entities.csv", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") > 79
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_exhausted_extraction_skips_verdicts_not_started(self, analyzed, sample_paths, tmp_path, capsys,
+                                                             monkeypatch, parallelism):
+        run_out, _ = analyzed
+        failing = 10
+        text = load_transcript(run_out / "transcript.json").verdicts[failing].analysis_text
+        calls = []
+
+        def complete_text(prompt, config, api_key, **kw):
+            calls.append(prompt)
+            if text in prompt:
+                raise client.RetriesExhaustedError(client.ClientError("Server", "HTTP 503"), 4)
+            return fake_entity_reply(prompt)
+
+        monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+        monkeypatch.setattr(client, "complete_text", complete_text)
+        out = tmp_path / "exhausted"
+        assert run_cli("analyze", "--transcript", str(run_out / "transcript.json"),
+                       "--manifest", str(sample_paths.manifest), "--extractor", "llm",
+                       "--parallelism", str(parallelism), "--out", str(out)) == 2
+        assert "runtime error: RetriesExhaustedError: Server: gave up after 4 attempts" in capsys.readouterr().err
+        assert len(calls) <= failing + parallelism
+        assert not out.exists()
+
+    def test_gazetteer_starts_no_thread_pool(self, analyzed, sample_paths, tmp_path, monkeypatch):
+        run_out, expected = analyzed
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the gazetteer started a thread pool")
+
+        monkeypatch.setattr(pool, "Thread", no_pool)
+        out = tmp_path / "serial"
+        assert run_cli("analyze", "--transcript", str(run_out / "transcript.json"),
+                       "--manifest", str(sample_paths.manifest), "--parallelism", "8", "--out", str(out)) == 0
+        assert (out / "entities.csv").read_bytes() == (expected / "entities.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_parallelism_below_one_costs_no_calls(self, sample_paths, tmp_path, capsys, monkeypatch, source):
+        calls = []
+        monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+        monkeypatch.setattr(client, "complete_text", lambda *a, **kw: calls.append(a) or "")
+        # The transcript does not exist: the setting must be refused before it is read.
+        argv = ["analyze", "--transcript", str(tmp_path / "absent.json"),
+                "--manifest", str(sample_paths.manifest), "--extractor", "llm", "--out", str(tmp_path / "p")]
+        if source == "flag":
+            argv += ["--parallelism", "0"]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"parallelism": 0}))
+            argv += ["--config", str(config_path)]
+        assert run_cli(*argv) == 1
+        assert "error: ConfigError: --parallelism must be at least 1, got 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_min_interval_spaces_extraction_calls(self, analyzed, sample_paths, tmp_path, capsys, monkeypatch,
+                                                  source):
+        run_out, _ = analyzed
+        spacers, turns, calls = [], [], []
+
+        def request_spacer(min_interval, **kw):
+            spacers.append(min_interval)
+            return lambda: turns.append(len(calls))
+
+        monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+        monkeypatch.setattr(client, "request_spacer", request_spacer)
+        monkeypatch.setattr(client, "complete_text", lambda text, *a, **kw: calls.append(text) or "")
+        argv = ["analyze", "--transcript", str(run_out / "transcript.json"), "--manifest", str(sample_paths.manifest),
+                "--extractor", "llm", "--parallelism", "1", "--out", str(tmp_path / "spaced")]
+        if source == "flag":
+            argv += ["--min-interval", "0.25"]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"min_interval": 0.25}))
+            argv += ["--config", str(config_path)]
+        assert run_cli(*argv) == 0
+        assert spacers == [0.25]
+        # Each call waits its turn first.
+        assert turns == list(range(79)) and len(calls) == 79
+
     def test_malformed_transcript_exits_one(self, analyzed, sample_paths, tmp_path, capsys):
         run_out, _ = analyzed
         doc = json.loads((run_out / "transcript.json").read_text())
@@ -372,6 +468,19 @@ def test_config_file_values_are_checked(command, doc, sample_paths, tmp_path, ca
     assert "error: ConfigError: config key" in err and repr(next(iter(doc))) in err
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_min_interval_exits_one(command, value, sample_paths, tmp_path, capsys):
+    inputs = {"run": ["--backend", "replay", "--fixture", str(sample_paths.fixture)],
+              "analyze": ["--transcript", str(tmp_path / "absent.json")]}[command]
+    code = run_cli(command, "--manifest", str(sample_paths.manifest), *inputs,
+                   "--min-interval", value, "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: ConfigError: --min-interval must be a finite number >= 0, got {float(value)}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"temperature": 1}))
@@ -383,7 +492,8 @@ def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, 
             return 200, json.dumps({"choices": [{"message": {"content": "Correct Choice:A"}}], "model": "m"})
 
         monkeypatch.setattr(client, "_default_transport", transport)
-        assert run_cli("run", "--manifest", str(sample_paths.manifest), "--backend", "live",
+        # One request at a time, so the bodies compare in send order.
+        assert run_cli("run", "--manifest", str(sample_paths.manifest), "--backend", "live", "--parallelism", "1",
                        *argv, "--out", str(tmp_path / source)) == 0
     assert len(bodies["flag"]) == 79 and b'"temperature": 1.0' in bodies["flag"][0]
     assert bodies["flag"] == bodies["config"]
@@ -459,6 +569,7 @@ _BAD_FILES = {
     "directory": None,
     "non-utf8": b"\xff\xfe{}",
     "nested": b"[" * 100_000,
+    "not-an-object": b"[]",
 }
 
 
@@ -466,7 +577,8 @@ _BAD_FILES = {
     (name, case)
     for name in ("manifest", "transcript", "fixture", "config", "lexicon", "rules file")
     for case in _BAD_FILES
-    if not (name == "rules file" and case == "nested")  # the rules file is text, not JSON
+    # The rules file is text, not JSON.
+    if not (name == "rules file" and case in ("nested", "not-an-object"))
 ])
 def test_bad_input_file_exits_one_naming_it(name, case, sample_paths, sample_transcript, tmp_path, capsys):
     path = tmp_path / "input"

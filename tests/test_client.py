@@ -10,6 +10,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import urllib.error
 
@@ -289,6 +290,24 @@ class TestLiveCompletion:
         completion(envelope("q1"))
         completion(envelope("q2"))
         assert len(sleeps) == 1 and 0 < sleeps[0] <= 30.0
+
+    def test_spacer_spaces_starts_across_threads(self):
+        interval, sleeps = 0.02, []
+        wait_turn = client.request_spacer(interval, sleep=lambda s: sleeps.append(s) or time.sleep(s))
+        started = time.monotonic()
+        threads = [threading.Thread(target=lambda: [wait_turn() for _ in range(2)]) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Eight starts, each at least one interval after the one before.
+        assert time.monotonic() - started >= 7 * interval
+        assert sleeps and all(0 < s <= interval for s in sleeps)
+
+    def test_zero_interval_never_sleeps(self):
+        wait_turn = client.request_spacer(0.0, sleep=lambda s: pytest.fail("slept"))
+        for _ in range(3):
+            wait_turn()
 
     def test_complete_text_sends_single_text_part(self):
         transport = FakeTransport([ok_response("DISEASE | gout")])

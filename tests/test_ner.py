@@ -22,6 +22,7 @@ from quizeval.ner import (
 )
 
 from .bruteforce import bf_longest_matches
+from .conftest import fake_entity_reply
 
 LEXICON = EntityLexicon(
     {
@@ -230,3 +231,11 @@ class TestLlmExtractor:
         extractor.extract("the patient text")
         assert "the patient text" in captured["prompt"]
         assert "DISEASE" in captured["prompt"]
+
+    def test_records_are_the_same_at_any_parallelism(self, sample_transcript):
+        lexicon = load_default_lexicon()
+        extractor = LlmExtractor(fake_entity_reply, lexicon.entity_types)
+        serial = extract_from_transcript(sample_transcript, extractor)
+        assert serial == extract_from_transcript(sample_transcript, GazetteerExtractor(lexicon))
+        for parallelism in (2, 4):
+            assert extract_from_transcript(sample_transcript, extractor, parallelism) == serial
