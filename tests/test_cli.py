@@ -706,9 +706,13 @@ def _digest(path, *, drop_timestamp: bool = False) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of every file of the sample's `run` + `analyze` outputs, timestamps
-# blanked. A refactor of the pipeline must leave all of them unchanged.
+# sha256 of every file of the bundled sample, then of its `run` + `analyze`
+# outputs, timestamps blanked. A refactor of the pipeline must leave all of
+# them unchanged. The 79 images are one placeholder PNG.
 GOLDEN_DIGESTS = {
+    "manifest.json": "649e9d1a940c2005d687d32950e789e2b368c8b4a87468b0677408cfc69ab2cd",
+    "replay_fixture.json": "7ed1a60e7085ae7b209299c20d02673cdc40829dc50b5786274b4b59ffe90f15",
+    "images/*.png": "a1abfd410973b0111c215baa879b9edcd739e601659ba44168269767cc2e9108",
     "transcript.json": "988e6830e00720fd1c6b139763e88f9b78f526f310278f7cb0e8c03527dc5a86",
     "correct_graph.dot": "42480f8aa0031ebdf6d6e08fcd652c139ccd00e015500bdbdc4c21c766aaf127",
     "correct_graph.graphml": "dfaad9e8c6bc2b69f979a05ccc004b2d641f40bc582b5e5392cf97f95a89b0aa",
@@ -731,7 +735,14 @@ def test_sample_outputs_are_byte_stable(tmp_path, capsys):
                    "--fixture", str(sample / "replay_fixture.json"), "--out", str(run_out)) == 0
     assert run_cli("analyze", "--transcript", str(run_out / "transcript.json"),
                    "--manifest", str(sample / "manifest.json"), "--out", str(analysis_out)) == 0
-    digests = {"transcript.json": _digest(run_out / "transcript.json", drop_timestamp=True)}
+    images = sorted((sample / "images").iterdir())
+    assert len(images) == 79
+    image_digests = {_digest(path) for path in images}
+    assert len(image_digests) == 1
+    digests = {"manifest.json": _digest(sample / "manifest.json"),
+               "replay_fixture.json": _digest(sample / "replay_fixture.json"),
+               "images/*.png": image_digests.pop(),
+               "transcript.json": _digest(run_out / "transcript.json", drop_timestamp=True)}
     for path in sorted(analysis_out.iterdir()):
         digests[path.name] = _digest(path, drop_timestamp=path.name == "report.json")
     assert digests == GOLDEN_DIGESTS
