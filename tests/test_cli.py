@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -675,6 +676,20 @@ def test_python_dash_m(argv, code, said, sample_paths, tmp_path):
                           capture_output=True, timeout=60)
     assert done.returncode == code
     assert said in done.stdout + done.stderr
+
+
+def test_every_data_file_is_package_data():
+    """Tests import from ``src/``, so a data file that no package-data glob
+    names would be missing only from an installed copy."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    package = root / "src" / "quizeval"
+    packaged = {path for pattern in pyproject["tool"]["setuptools"]["package-data"]["quizeval"]
+                for path in package.glob(pattern)}
+    data_files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert {path.name for path in data_files} >= {"lexicon.json", "sample_manifest.json", "sample_fixture.json"}
+    assert data_files <= packaged
 
 
 _WITHOUT_REQUESTS = """
