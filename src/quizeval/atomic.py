@@ -38,13 +38,19 @@ def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwarg
 def write_atomic(path: str | Path, text: str) -> Path:
     """Write ``text`` as UTF-8 to a sibling temp file, then rename it over
     ``path``, so readers see the old file or the new one, never a partial
-    one. Newlines are written as given (CSV keeps its \\r\\n)."""
+    one. Newlines are written as given (CSV keeps its \\r\\n). If the write
+    fails, for example on text that cannot be encoded as UTF-8, the temp file
+    is removed and ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
