@@ -6,11 +6,14 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quizeval import evaluator
 from quizeval.client import make_live_completion, open_replay
 from quizeval.corpus import load_corpus
 from quizeval.evaluator import (
+    RunMetadata,
     RunTranscript,
     Verdict,
     extract_choice,
@@ -358,4 +361,75 @@ class TestTranscriptValidation:
     def test_stored_scores_differ(self, doc):
         doc["scores"]["correct"] += 1
         with pytest.raises(ValueError, match="scores"):
+            transcript_from_dict(doc)
+
+
+_TEXT = st.text(max_size=12)
+
+
+@st.composite
+def _verdicts(draw):
+    """A verdict that obeys the scoring rule: correct exactly when the
+    extracted letter is the correct one."""
+    correct = draw(_TEXT)
+    extracted = draw(st.none() | st.just(correct) | _TEXT)
+    return Verdict(
+        question_id=draw(_TEXT), quiz_id=draw(st.sampled_from(["qz1", "qz2", "qz3"])),
+        domain_tag=draw(st.text(min_size=1, max_size=6)), raw_response=draw(_TEXT),
+        extracted_letter=extracted, correct_letter=correct, is_correct=extracted == correct,
+        analysis_text=draw(_TEXT), error=draw(st.none() | _TEXT),
+    )
+
+
+def _transcripts(min_verdicts: int = 0):
+    run = st.builds(
+        RunMetadata, model_id=_TEXT, max_tokens=st.integers(), endpoint_url=_TEXT,
+        temperature=st.none() | st.floats(allow_nan=False, allow_infinity=False), rules_text=_TEXT,
+        timestamp=_TEXT, backend=_TEXT, payload_order=_TEXT,
+    )
+    return st.builds(RunTranscript, run=run,
+                     verdicts=st.lists(_verdicts(), min_size=min_verdicts, max_size=6).map(tuple))
+
+
+def _flip_is_correct(doc, data):
+    verdict = data.draw(st.sampled_from(doc["verdicts"]))
+    verdict["is_correct"] = not verdict["is_correct"]
+    # Stored scores agree with the flipped verdict, so only the rule can catch it.
+    rescored = RunTranscript(run=RunMetadata(**doc["run"]), verdicts=tuple(Verdict(**v) for v in doc["verdicts"]))
+    doc["scores"] = transcript_to_dict(rescored)["scores"]
+    return "is_correct contradicts its letters"
+
+
+def _empty_domain_tag(doc, data):
+    data.draw(st.sampled_from(doc["verdicts"]))["domain_tag"] = ""
+    return "domain_tag is empty"
+
+
+def _wrong_json_type(doc, data):
+    # No field of a run or a verdict accepts a JSON array or object.
+    where = data.draw(st.sampled_from(["run", *range(len(doc["verdicts"]))]))
+    fields = doc["run"] if where == "run" else doc["verdicts"][where]
+    name = data.draw(st.sampled_from(sorted(fields)))
+    fields[name] = data.draw(st.sampled_from([[], {}]))
+    return f"{name} has the wrong type"
+
+
+def _tampered_scores(doc, data):
+    doc["scores"][data.draw(st.sampled_from(["correct", "total", "ratio"]))] += 1
+    return "stored scores differ"
+
+
+class TestTranscriptRoundTrip:
+    @settings(deadline=None)
+    @given(transcript=_transcripts())
+    def test_json_round_trip_is_identity(self, transcript):
+        assert transcript_from_dict(json.loads(json.dumps(transcript_to_dict(transcript)))) == transcript
+
+    @pytest.mark.parametrize("breakage", [_flip_is_correct, _empty_domain_tag, _wrong_json_type, _tampered_scores])
+    @settings(deadline=None)
+    @given(transcript=_transcripts(min_verdicts=1), data=st.data())
+    def test_one_broken_invariant_is_refused(self, breakage, transcript, data):
+        doc = json.loads(json.dumps(transcript_to_dict(transcript)))
+        message = breakage(doc, data)
+        with pytest.raises(ValueError, match=message):
             transcript_from_dict(doc)
