@@ -35,6 +35,15 @@ def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwarg
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def has_json_type(value, types: tuple[type, ...]) -> bool:
+    """Whether ``value``, as ``json.loads`` returns it, has one of ``types``.
+    A JSON boolean is never a number, and an integer counts as a float."""
+    if float in types:
+        types += (int,)
+    # bool is a subclass of int.
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def write_atomic(path: str | Path, text: str) -> Path:
     """Write ``text`` as UTF-8 to a sibling temp file, then rename it over
     ``path``, so readers see the old file or the new one, never a partial

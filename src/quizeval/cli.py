@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import client, ner, reporting
-from .atomic import read_json, read_text
+from .atomic import has_json_type, read_json, read_text
 from .corpus import CorpusError, CorpusValidationError, QuizCorpus, load_corpus
 from .evaluator import RunTranscript, load_transcript, run_evaluation, score
 from .prompting import (
@@ -104,8 +104,7 @@ def _load_config_file(path: Path, flags: dict[str, argparse.Action]) -> dict:
     for key, value in doc.items():
         action = flags[key]
         expected = action.type if action.type in (int, float) else str
-        accepted = (int, float) if expected is float else expected
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if not has_json_type(value, (expected,)):
             raise ConfigError(f"config key {key!r} must be of type {expected.__name__}, got {json.dumps(value)}")
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
@@ -291,7 +290,3 @@ def main(argv: list[str] | None = None) -> int:
     except (client.ClientError, OSError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
-from .atomic import read_json, write_atomic
+from .atomic import has_json_type, read_json, write_atomic
 from .client import ChatResponse, ClientError
 from .corpus import Question, QuizCorpus
 from .pool import ordered_map
@@ -87,23 +87,10 @@ class RunMetadata:
     payload_order: str = "text,image"
 
 
-def _json_field_types(cls) -> dict[str, tuple[type, ...]]:
-    """The Python types each field of ``cls`` accepts from JSON: its
-    annotation, plus ``int`` where a ``float`` is declared."""
-    out = {}
-    for name, hint in get_type_hints(cls).items():
-        types = get_args(hint) or (hint,)
-        out[name] = types + (int,) if float in types else types
-    return out
-
-
-_VERDICT_FIELD_TYPES = _json_field_types(Verdict)
-_RUN_FIELD_TYPES = _json_field_types(RunMetadata)
-
-
-def _has_json_type(value, types: tuple[type, ...]) -> bool:
-    # bool is a subclass of int, but a JSON boolean is never a number.
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+# The Python types each field accepts from JSON: its annotation's members.
+_VERDICT_FIELD_TYPES, _RUN_FIELD_TYPES = (
+    {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()} for cls in (Verdict, RunMetadata)
+)
 
 
 @dataclass(frozen=True)
@@ -186,10 +173,7 @@ def run_evaluation(
     verdicts = ordered_map(evaluate_one, tuple(corpus.iter_questions()), parallelism)
 
     metadata = RunMetadata(
-        model_id=config.model_id,
-        max_tokens=config.max_tokens,
-        endpoint_url=config.endpoint_url,
-        temperature=config.temperature,
+        **asdict(config),
         rules_text=rules.instruction_text,
         timestamp=datetime.now(timezone.utc).isoformat(),
         backend=backend,
@@ -207,16 +191,12 @@ def score(transcript: RunTranscript) -> ScoreSummary:
     transcript scores 0 questions with ratio 0.0 rather than dividing by
     zero.
     """
-    order: list[str] = []
-    counts: dict[str, list[int]] = {}
+    counts: dict[str, list[int]] = {}  # quiz id -> [correct, total], in first-seen order
     for verdict in transcript.verdicts:
-        if verdict.quiz_id not in counts:
-            order.append(verdict.quiz_id)
-            counts[verdict.quiz_id] = [0, 0]
-        counts[verdict.quiz_id][1] += 1
-        if verdict.is_correct:
-            counts[verdict.quiz_id][0] += 1
-    per_quiz = tuple(QuizScore(qid, counts[qid][0], counts[qid][1]) for qid in order)
+        tally = counts.setdefault(verdict.quiz_id, [0, 0])
+        tally[0] += verdict.is_correct
+        tally[1] += 1
+    per_quiz = tuple(QuizScore(qid, correct, total) for qid, (correct, total) in counts.items())
     total = sum(s.total for s in per_quiz)
     correct = sum(s.correct for s in per_quiz)
     ratio = round(correct / total, 4) if total else 0.0
@@ -257,13 +237,13 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
     for name, types in _RUN_FIELD_TYPES.items():
-        if not _has_json_type(getattr(transcript.run, name), types):
+        if not has_json_type(getattr(transcript.run, name), types):
             raise ValueError(f"run: {name} has the wrong type")
     if transcript.run.temperature is not None and not math.isfinite(transcript.run.temperature):
         raise ValueError("run: temperature is not finite")
     for v in transcript.verdicts:
         for name, types in _VERDICT_FIELD_TYPES.items():
-            if not _has_json_type(getattr(v, name), types):
+            if not has_json_type(getattr(v, name), types):
                 raise ValueError(f"verdict for {v.question_id!r}: {name} has the wrong type")
         if not v.domain_tag:
             raise ValueError(f"verdict for {v.question_id!r}: domain_tag is empty")

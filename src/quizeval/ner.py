@@ -55,12 +55,11 @@ def normalize_name(raw: str) -> str:
 
 
 class EntityLexicon:
-    """Mapping from entity type to surface patterns, indexed for
-    longest-match lookup.
-
-    Patterns are matched case-insensitively on word sequences; no pattern
-    may map to two types.
-    """
+    """Mapping from entity type to surface patterns. ``_index`` (words ->
+    type and display name) and ``_lengths_by_first`` (first word -> word
+    counts, longest first) serve ``GazetteerExtractor``'s longest match.
+    Patterns match case-insensitively on word sequences; no pattern may map
+    to two types."""
 
     def __init__(self, entries: Mapping[str, Iterable[str]]):
         if not entries:
@@ -89,14 +88,6 @@ class EntityLexicon:
     @property
     def entity_types(self) -> tuple[str, ...]:
         return tuple(self.entries)
-
-    def lookup(self, toks: tuple[str, ...]) -> tuple[str, str] | None:
-        return self._index.get(toks)
-
-    def pattern_lengths(self, first: str) -> tuple[int, ...]:
-        """Token lengths of the patterns that start with ``first``, longest
-        first; empty when none does."""
-        return self._lengths_by_first.get(first, ())
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EntityLexicon":
@@ -129,15 +120,16 @@ class GazetteerExtractor:
         self.lexicon = lexicon
 
     def extract(self, text: str) -> list[tuple[str, str]]:
+        index, lengths_by_first = self.lexicon._index, self.lexicon._lengths_by_first
         toks = _tokens(text)
         found: list[tuple[str, str]] = []
         i = 0
         n = len(toks)
         while i < n:
-            for length in self.lexicon.pattern_lengths(toks[i]):
+            for length in lengths_by_first.get(toks[i], ()):
                 if i + length > n:
                     continue
-                hit = self.lexicon.lookup(tuple(toks[i : i + length]))
+                hit = index.get(tuple(toks[i : i + length]))
                 if hit is not None:
                     found.append(hit)
                     i += length

@@ -10,8 +10,6 @@ correctness pattern the fixture realizes; the acceptance tests check it.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,18 +24,11 @@ class SamplePaths:
     images_dir: Path
 
 
-def _tiny_png() -> bytes:
-    def chunk(tag: bytes, data: bytes) -> bytes:
-        return (
-            struct.pack(">I", len(data))
-            + tag
-            + data
-            + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF)
-        )
-
-    header = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)  # 1x1, 8-bit grayscale
-    pixel_data = zlib.compress(b"\x00\x80")
-    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header) + chunk(b"IDAT", pixel_data) + chunk(b"IEND", b"")
+# A 1x1 8-bit grayscale PNG, written for every question of the sample.
+PLACEHOLDER_PNG = (
+    b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\x00\x00\x00\x01\x00\x00\x00\x01\x08\x00\x00\x00\x00:~\x9bU"
+    b"\x00\x00\x00\nIDATx\x9cch\x00\x00\x00\x82\x00\x81w\xcdr\xb6\x00\x00\x00\x00IEND\xaeB`\x82"
+)
 
 
 def materialize_sample(dest: str | Path) -> SamplePaths:
@@ -52,10 +43,9 @@ def materialize_sample(dest: str | Path) -> SamplePaths:
     manifest_text = data.joinpath("sample_manifest.json").read_text(encoding="utf-8")
     images_dir = dest / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
-    png = _tiny_png()
     for quiz in json.loads(manifest_text)["quizzes"]:
         for question in quiz["questions"]:
-            (dest / question["image"]["path"]).write_bytes(png)
+            (dest / question["image"]["path"]).write_bytes(PLACEHOLDER_PNG)
     fixture_path = write_atomic(
         dest / "replay_fixture.json", data.joinpath("sample_fixture.json").read_text(encoding="utf-8")
     )

@@ -3,9 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
-import struct
 import time
-import zlib
 from pathlib import Path
 
 import pytest
@@ -17,18 +15,7 @@ from quizeval.corpus import load_corpus
 from quizeval.evaluator import run_evaluation
 from quizeval.ner import GazetteerExtractor, load_default_lexicon
 from quizeval.prompting import EngineConfig, RulesOfConduct
-from quizeval.sampledata import SamplePaths, materialize_sample
-
-
-def tiny_png() -> bytes:
-    def chunk(tag: bytes, data: bytes) -> bytes:
-        return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF)
-
-    header = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
-    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header) + chunk(b"IDAT", zlib.compress(b"\x00\x80")) + chunk(b"IEND", b"")
-
-
-TINY_PNG = tiny_png()
+from quizeval.sampledata import PLACEHOLDER_PNG as TINY_PNG, SamplePaths, materialize_sample
 
 
 def child_env(env: dict[str, str]) -> dict[str, str]:
