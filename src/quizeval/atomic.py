@@ -44,6 +44,16 @@ def has_json_type(value, types: tuple[type, ...]) -> bool:
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
+def is_utf8(text: str) -> bool:
+    """Whether ``text`` can be written as UTF-8. ``json.loads`` accepts a lone
+    surrogate such as ``"\\ud800"``, which cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def write_atomic(path: str | Path, text: str) -> Path:
     """Write ``text`` as UTF-8 to a sibling temp file, then rename it over
     ``path``, so readers see the old file or the new one, never a partial

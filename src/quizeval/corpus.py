@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .atomic import read_json
+from .atomic import is_utf8, read_json
 
 LETTER_SEQUENCE = "ABCDE"
 MIN_CHOICES = 2
@@ -147,8 +147,9 @@ def _corpus_from_dict(doc: dict, base_dir: Path) -> QuizCorpus:
     issues: list[ValidationIssue] = []
 
     vocab_raw = doc.get("tag_vocabulary")
-    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) and t for t in vocab_raw):
-        raise MalformedManifestError("tag_vocabulary must be an array of non-empty strings")
+    # Tags reach the CSV, DOT and GraphML outputs, which are UTF-8.
+    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) and t and is_utf8(t) for t in vocab_raw):
+        raise MalformedManifestError("tag_vocabulary must be an array of non-empty UTF-8 strings")
     vocabulary = frozenset(vocab_raw)
 
     quizzes_raw = doc.get("quizzes")
@@ -184,6 +185,9 @@ def _parse_quiz(
     questions_raw = qz.get("questions")
     if not isinstance(quiz_id, str) or not quiz_id:
         issues.append(ValidationIssue("MalformedManifest", "quiz id must be a non-empty string"))
+        return None
+    if not is_utf8(quiz_id):
+        issues.append(ValidationIssue("MalformedManifest", f"quiz id {quiz_id!r} is not writable as UTF-8"))
         return None
     if quiz_id in seen_quiz_ids:
         issues.append(ValidationIssue("DuplicateId", f"quiz id {quiz_id!r} appears more than once"))

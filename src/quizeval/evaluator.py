@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
-from .atomic import has_json_type, read_json, write_atomic
+from .atomic import has_json_type, is_utf8, read_json, write_atomic
 from .client import ChatResponse, ClientError
 from .corpus import Question, QuizCorpus
 from .pool import ordered_map
@@ -247,6 +247,9 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
                 raise ValueError(f"verdict for {v.question_id!r}: {name} has the wrong type")
         if not v.domain_tag:
             raise ValueError(f"verdict for {v.question_id!r}: domain_tag is empty")
+        for name in ("quiz_id", "domain_tag"):  # both reach the UTF-8 CSV outputs
+            if not is_utf8(getattr(v, name)):
+                raise ValueError(f"verdict for {v.question_id!r}: {name} is not writable as UTF-8")
         if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
             raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
     if doc.get("scores") != scores_to_dict(score(transcript)):

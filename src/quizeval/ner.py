@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
-from .atomic import read_json, write_csv
+from .atomic import is_utf8, read_json, write_csv
 from .pool import ordered_map
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -70,6 +70,8 @@ class EntityLexicon:
             patterns = tuple(patterns)
             if not patterns:
                 raise LexiconError(f"entity type {entity_type!r} has no patterns")
+            if not is_utf8(entity_type):
+                raise LexiconError(f"entity type {entity_type!r} is not writable as UTF-8")
             self.entries[entity_type] = patterns
             for pattern in patterns:
                 toks = tuple(_tokens(pattern))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quizeval
 from quizeval import cli, client, pool, sampledata
 from quizeval.cli import main
 from quizeval.evaluator import load_transcript, save_transcript
@@ -184,6 +186,43 @@ class TestRun:
         assert code == 1
         assert "error: MarkerMissingError: " in capsys.readouterr().err
         assert not (tmp_path / "out" / "transcript.json").exists()
+
+    def test_replay_without_manifest(self, sample_paths, tmp_path, capsys):
+        code = run_cli("run", "--backend", "replay", "--fixture", str(sample_paths.fixture),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "error: ConfigError: a corpus manifest is required" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "transcript.json").exists()
+
+    @pytest.mark.parametrize("where, said", [
+        ("tag", "error: tag_vocabulary must be an array of non-empty UTF-8 strings"),
+        ("quiz id", "MalformedManifest: quiz id '\\ud800' is not writable as UTF-8"),
+    ])
+    def test_text_not_writable_as_utf8_is_refused_before_any_call(self, where, said, sample_paths, tmp_path,
+                                                                   capsys, monkeypatch):
+        doc = json.loads(sample_paths.manifest.read_text(encoding="utf-8"))
+        for quiz in doc["quizzes"]:
+            for question in quiz["questions"]:
+                question["image"]["path"] = str(sample_paths.manifest.parent / question["image"]["path"])
+        if where == "tag":
+            doc["tag_vocabulary"].append("\ud800")
+            doc["quizzes"][0]["questions"][0]["image"]["domain_tag"] = "\ud800"
+        else:
+            doc["quizzes"][0]["id"] = "\ud800"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("validate", "--manifest", str(manifest)) == 1
+        assert said in capsys.readouterr().err
+
+        calls = []
+        replay = client.open_replay(sample_paths.fixture)
+        monkeypatch.setattr(client, "open_replay", lambda path: lambda env: calls.append(env) or replay(env))
+        code = run_cli("run", "--manifest", str(manifest), "--backend", "replay",
+                       "--fixture", str(sample_paths.fixture), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert said in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -412,6 +451,32 @@ class TestAnalyze:
         assert code == 1
         assert "error: ValueError: run: max_tokens has the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "broken-out" / "report.json").exists()
+
+    @pytest.mark.parametrize("field", ["quiz_id", "domain_tag"])
+    def test_verdict_text_not_writable_as_utf8_writes_nothing(self, field, analyzed, sample_paths, tmp_path,
+                                                               capsys):
+        run_out, _ = analyzed
+        doc = json.loads((run_out / "transcript.json").read_text())
+        doc["verdicts"][0][field] = "\ud800"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = run_cli("analyze", "--transcript", str(broken), "--manifest", str(sample_paths.manifest),
+                       "--out", str(tmp_path / "broken-out"))
+        assert code == 1
+        assert (f"error: ValueError: verdict for 'q101': {field} is not writable as UTF-8"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "broken-out").exists()
+
+    def test_lexicon_type_not_writable_as_utf8_exits_one(self, analyzed, sample_paths, tmp_path, capsys):
+        run_out, _ = analyzed
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"\ud800": ["heart"]}))
+        code = run_cli("analyze", "--transcript", str(run_out / "transcript.json"),
+                       "--manifest", str(sample_paths.manifest), "--lexicon", str(lexicon),
+                       "--out", str(tmp_path / "lexicon-out"))
+        assert code == 1
+        assert "error: LexiconError: entity type '\\ud800' is not writable as UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "lexicon-out").exists()
 
     def test_missing_transcript_exits_one(self, sample_paths, tmp_path, capsys):
         code = run_cli("analyze", "--transcript", str(tmp_path / "absent.json"),
@@ -711,6 +776,20 @@ def test_cli_runs_without_requests(sample_paths, tmp_path):
     assert done.returncode == 0, done.stderr
     assert b"total 66/79" in done.stdout
     assert (tmp_path / "out" / "transcript.json").is_file()
+
+
+def test_package_imports_only_the_standard_library():
+    """quizeval has no runtime dependency: every absolute import in the
+    package names a standard-library module or quizeval itself."""
+    imported = set()
+    for path in Path(quizeval.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert "json" in imported
+    assert imported - sys.stdlib_module_names - {"quizeval"} == set()
 
 
 def _digest(path, *, drop_timestamp: bool = False) -> str:

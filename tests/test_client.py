@@ -281,6 +281,10 @@ class TestLiveCompletion:
         assert not ClientError("Auth", "x").retryable
         assert not ClientError("Malformed", "x").retryable
 
+    def test_unknown_error_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown error kind 'Bogus'"):
+            ClientError("Bogus", "x")
+
     def test_min_interval_spaces_requests(self):
         transport = FakeTransport([ok_response("a"), ok_response("b")])
         sleeps: list[float] = []

@@ -7,6 +7,7 @@ import pytest
 from quizeval.corpus import (
     CorpusValidationError,
     MalformedManifestError,
+    ValidationIssue,
     load_corpus,
 )
 
@@ -71,6 +72,27 @@ class TestLoadCorpus:
         with pytest.raises(MalformedManifestError, match="tag_vocabulary"):
             load_corpus(path)
 
+    def test_tag_not_writable_as_utf8_rejected(self, manifest_factory):
+        manifest = make_manifest({"qz1": [make_question("q1", tag="\ud800")]}, vocabulary=["CV", "\ud800"])
+        with pytest.raises(MalformedManifestError, match="tag_vocabulary must be an array of non-empty UTF-8"):
+            load_corpus(manifest_factory(manifest))
+
+    def test_quiz_id_not_writable_as_utf8_rejected(self, manifest_factory):
+        path = manifest_factory(make_manifest({"\ud800": [make_question("q1")]}))
+        with pytest.raises(CorpusValidationError) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.issues == (
+            ValidationIssue("MalformedManifest", "quiz id '\\ud800' is not writable as UTF-8"),
+        )
+
+    def test_tag_written_as_a_surrogate_pair_escape_loads(self, manifest_factory):
+        manifest = make_manifest({"qz1": [make_question("q1", tag="\U0001f600")]}, vocabulary=["\U0001f600"])
+        path = manifest_factory(manifest)
+        assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.tag_vocabulary == {"\U0001f600"}
+        assert corpus.quizzes[0].questions[0].image.domain_tag == "\U0001f600"
+
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{nope")
@@ -128,6 +150,45 @@ class TestLoadCorpus:
         with pytest.raises(CorpusValidationError) as excinfo:
             load_corpus(path)
         assert issue_kinds(excinfo.value) >= {"InvalidCorrectLetter", "UnknownTag"}
+
+
+
+def _set_quiz(manifest: dict, **fields) -> None:
+    manifest["quizzes"][0].update(fields)
+
+
+def _set_question(manifest: dict, **fields) -> None:
+    manifest["quizzes"][0]["questions"][0].update(fields)
+
+
+# One malformed shape each, with the issue it must produce. The manifest has
+# one quiz "qz1" holding one question "q1".
+_MALFORMED_SHAPES = {
+    "quiz-not-object": (lambda m: m.update(quizzes=[5]), "quiz entry must be an object"),
+    "quiz-id-empty": (lambda m: _set_quiz(m, id=""), "quiz id must be a non-empty string"),
+    "title-not-string": (lambda m: _set_quiz(m, title=5), "quiz qz1: title must be a string"),
+    "questions-not-array": (lambda m: _set_quiz(m, questions={}), "quiz qz1: questions must be an array"),
+    "question-not-object": (lambda m: _set_quiz(m, questions=["q1"]), "quiz qz1: question entry must be an object"),
+    "question-id-not-string": (lambda m: _set_question(m, id=7), "quiz qz1: question id must be a non-empty string"),
+    "stem-not-string": (lambda m: _set_question(m, stem=None), "question q1: stem must be a string"),
+    "correct-letter-not-string": (lambda m: _set_question(m, correct_letter=0),
+                                  "question q1: correct_letter must be a string"),
+    "choice-without-text": (lambda m: m["quizzes"][0]["questions"][0]["choices"][0].pop("text"),
+                            "question q1: each choice needs letter and text"),
+    "image-without-tag": (lambda m: _set_question(m, image={"path": "images/q1.png"}),
+                          "question q1: image needs path and domain_tag"),
+}
+
+
+@pytest.mark.parametrize("shape", _MALFORMED_SHAPES)
+def test_malformed_shape_is_reported(shape, manifest_factory):
+    manifest = make_manifest({"qz1": [make_question("q1")]})
+    break_it, message = _MALFORMED_SHAPES[shape]
+    break_it(manifest)
+    path = manifest_factory(manifest, create_images=False)
+    with pytest.raises(CorpusValidationError) as excinfo:
+        load_corpus(path)
+    assert ValidationIssue("MalformedManifest", message) in excinfo.value.issues
 
 
 class TestCorpusStats:

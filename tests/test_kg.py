@@ -201,6 +201,10 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             EntityGraph.from_edges("ab", [("a", "z")])
 
+    def test_unordered_undirected_edge_rejected(self):
+        with pytest.raises(ValueError, match="not canonically ordered"):
+            EntityGraph(nodes=frozenset("ab"), edges=frozenset({("b", "a")}))
+
 
 @settings(max_examples=150)
 @given(st.data())

@@ -191,6 +191,10 @@ class TestLexicon:
         with pytest.raises(LexiconError):
             EntityLexicon({"DISEASE": ["  "]})
 
+    def test_entity_type_not_writable_as_utf8_rejected(self):
+        with pytest.raises(LexiconError, match="is not writable as UTF-8"):
+            EntityLexicon({"\ud800": ["heart"]})
+
     def test_bad_file_shape(self, tmp_path):
         path = tmp_path / "lex.json"
         path.write_text(json.dumps(["not", "a", "mapping"]))
