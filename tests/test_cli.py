@@ -196,8 +196,8 @@ class TestRun:
 
     @pytest.mark.parametrize("where, said", [
         ("tag", "error: tag_vocabulary must be an array of non-empty UTF-8 strings"),
-        ("quiz id", "MalformedManifest: quiz id '\\ud800' is not writable as UTF-8"),
-    ])
+        ("quiz-id", "MalformedManifest: quiz id '\\ud800' is not writable as UTF-8"),
+    ], ids=["tag", "quiz-id"])
     def test_text_not_writable_as_utf8_is_refused_before_any_call(self, where, said, sample_paths, tmp_path,
                                                                    capsys, monkeypatch):
         doc = json.loads(sample_paths.manifest.read_text(encoding="utf-8"))
