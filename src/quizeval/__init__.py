@@ -1,7 +1,7 @@
 """quizeval: evaluate multimodal chat models on image-paired multiple-choice
 quizzes and mine the transcripts for weak knowledge paths."""
 
-from .client import ChatResponse, ClientError, MalformedFixtureError, RetriesExhaustedError, make_live_completion, open_replay
+from .client import ClientError, MalformedFixtureError, RetriesExhaustedError, make_live_completion, open_replay
 from .corpus import CorpusError, CorpusValidationError, MalformedManifestError, QuizCorpus, Question, load_corpus
 from .evaluator import RunTranscript, Verdict, extract_choice, load_transcript, run_evaluation, save_transcript, score
 from .ima import IMAReport, analyze_images
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "ChatResponse",
     "ClientError",
     "CorpusError",
     "CorpusValidationError",

@@ -19,7 +19,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -35,7 +34,8 @@ _RETRYABLE_KINDS = frozenset({"RateLimit", "Timeout", "Server", "Transport"})
 
 # transport(url, body, headers) -> (status_code, response_text)
 Transport = Callable[[str, bytes, dict], tuple[int, str]]
-CompletionFn = Callable[[PromptEnvelope], "ChatResponse"]
+# completion(envelope) -> response text; run_evaluation takes any such function
+CompletionFn = Callable[[PromptEnvelope], str]
 
 
 class ClientError(Exception):
@@ -69,16 +69,6 @@ class RetriesExhaustedError(ClientError):
 
 class MalformedFixtureError(Exception):
     """The replay fixture file is unusable (bad JSON, duplicate or non-string keys)."""
-
-
-@dataclass(frozen=True, slots=True)
-class ChatResponse:
-    """Raw engine output for one envelope."""
-
-    question_id: str
-    response_text: str
-    latency_ms: float
-    engine_echo: str | None
 
 
 _EMPTY_IMAGE_URL = b'{"url": ""}'
@@ -158,7 +148,7 @@ def _classify_status(status: int, text: str) -> ClientError:
     return ClientError("Malformed", f"unexpected HTTP {status}: {text[:200]}")
 
 
-def _parse_completion(text: str) -> tuple[str, str | None]:
+def _parse_completion(text: str) -> str:
     try:
         doc = json.loads(text)
         content = doc["choices"][0]["message"]["content"]
@@ -166,8 +156,7 @@ def _parse_completion(text: str) -> tuple[str, str | None]:
         raise ClientError("Malformed", f"response is not chat-completions shaped: {exc}") from exc
     if not isinstance(content, str) or not content:
         raise ClientError("Malformed", "response content is empty or not text")
-    model = doc.get("model")
-    return content, model if isinstance(model, str) else None
+    return content
 
 
 def _execute(
@@ -177,9 +166,8 @@ def _execute(
     *,
     transport: Transport | None,
     sleep: Callable[[float], None],
-) -> tuple[str, str | None, float]:
-    """POST one prompt and return the response content, the model name the
-    endpoint reports and the latency in ms.
+) -> str:
+    """POST one prompt and return the response content.
 
     Retryable failures (rate limit, timeout, server, transport) are retried
     up to ``MAX_RETRIES`` times with 1s/2s/4s backoff; the final failure is
@@ -191,7 +179,6 @@ def _execute(
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     last_error: ClientError | None = None
     for attempt in range(MAX_RETRIES + 1):
-        started = time.perf_counter()
         try:
             try:
                 status, text = transport(config.endpoint_url, body, headers)
@@ -204,9 +191,7 @@ def _execute(
                 raise ClientError("Transport", f"request failed: {exc!r}") from exc
             if status != 200:
                 raise _classify_status(status, text)
-            content, engine_echo = _parse_completion(text)
-            latency_ms = (time.perf_counter() - started) * 1000.0
-            return content, engine_echo, latency_ms
+            return _parse_completion(text)
         except ClientError as err:
             last_error = err
             if not err.retryable:
@@ -226,7 +211,7 @@ def complete_text(
 ) -> str:
     """Text-only completion against the same endpoint, with the same retry
     policy; used by the model-assisted entity extractor."""
-    return _execute(prompt_text, config, api_key, transport=transport, sleep=sleep)[0]
+    return _execute(prompt_text, config, api_key, transport=transport, sleep=sleep)
 
 
 def request_spacer(min_interval: float, *, sleep: Callable[[float], None] = time.sleep) -> Callable[[], None]:
@@ -266,10 +251,9 @@ def make_live_completion(
     """
     wait_turn = request_spacer(min_interval, sleep=sleep)
 
-    def completion(envelope: PromptEnvelope) -> ChatResponse:
+    def completion(envelope: PromptEnvelope) -> str:
         wait_turn()
-        content, engine_echo, latency_ms = _execute(envelope, config, api_key, transport=transport, sleep=sleep)
-        return ChatResponse(envelope.question_id, content, latency_ms, engine_echo)
+        return _execute(envelope, config, api_key, transport=transport, sleep=sleep)
 
     return completion
 
@@ -296,10 +280,10 @@ def open_replay(fixture_path: str | Path) -> CompletionFn:
             f"fixture {fixture_path} must be a JSON object mapping question id to response text"
         )
 
-    def completion(envelope: PromptEnvelope) -> ChatResponse:
+    def completion(envelope: PromptEnvelope) -> str:
         text = mapping.get(envelope.question_id)
         if text is None:
             raise ClientError("Malformed", f"no fixture entry for question {envelope.question_id!r}")
-        return ChatResponse(envelope.question_id, text, 0.0, "replay")
+        return text
 
     return completion

@@ -15,13 +15,13 @@ import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 from .atomic import has_json_type, is_utf8, read_json, write_atomic
-from .client import ChatResponse, ClientError
+from .client import ClientError, CompletionFn
 from .corpus import Question, QuizCorpus
 from .pool import ordered_map
-from .prompting import EngineConfig, PromptEnvelope, RulesOfConduct, build_prompt
+from .prompting import EngineConfig, RulesOfConduct, build_prompt
 
 TRANSCRIPT_SCHEMA_VERSION = 1
 
@@ -145,7 +145,7 @@ def run_evaluation(
     corpus: QuizCorpus,
     rules: RulesOfConduct,
     config: EngineConfig,
-    completion: Callable[[PromptEnvelope], ChatResponse],
+    completion: CompletionFn,
     parallelism: int = 1,
     *,
     backend: str = "live",
@@ -165,7 +165,7 @@ def run_evaluation(
     def evaluate_one(question: Question) -> Verdict:
         envelope = build_prompt(question, rules)
         try:
-            response_text = completion(envelope).response_text
+            response_text = completion(envelope)
         except ClientError as err:
             return _verdict(question, "", err)
         return _verdict(question, response_text)

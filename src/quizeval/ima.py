@@ -43,11 +43,3 @@ def analyze_images(transcript: RunTranscript) -> IMAReport:
         incorrect_only_tags=frozenset(incorrect) - frozenset(correct),
         per_tag_error_rate=rates,
     )
-
-
-def ima_rows(report: IMAReport) -> list[tuple[str, int, int, float]]:
-    """(tag, correct, incorrect, error_rate) rows, sorted by tag."""
-    return [
-        (tag, report.correct_hist.get(tag, 0), report.incorrect_hist.get(tag, 0), rate)
-        for tag, rate in report.per_tag_error_rate.items()
-    ]

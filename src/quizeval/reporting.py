@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .atomic import write_atomic, write_csv
 from .evaluator import RunTranscript, ScoreSummary, score, scores_to_dict
-from .ima import IMAReport, analyze_images, ima_rows
+from .ima import IMAReport, analyze_images
 from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
 from .ner import EntityRecord, entity_frequencies
 
@@ -228,9 +228,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
 def export(report: AnalysisReport, format: str, destination: str | Path) -> list[Path]:
     """Write the report in one format under ``destination``.
 
-    Formats: "json", "csv-bundle" (one file per table), "dot" and
-    "graphml" (one file per branch graph). All writes are atomic (temp file
-    + rename).
+    Formats: "json", "csv-bundle" (one file per table of ``report_to_dict``),
+    "dot" and "graphml" (one file per branch graph). All writes are atomic
+    (temp file + rename).
     """
     destination = Path(destination)
     written: list[Path] = []
@@ -238,50 +238,34 @@ def export(report: AnalysisReport, format: str, destination: str | Path) -> list
         text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
         written.append(write_atomic(destination / "report.json", text))
     elif format == "csv-bundle":
-        summary = report.scores
-        score_rows = [[s.quiz_id, s.correct, s.total, _r4(s.correct / s.total if s.total else 0.0)] for s in summary.per_quiz]
-        score_rows.append(["TOTAL", summary.correct, summary.total, _r4(summary.ratio)])
-        written.append(write_csv(destination / "scores.csv", ["quiz_id", "correct", "total", "ratio"], score_rows))
-        written.append(
-            write_csv(
-                destination / "ima.csv",
-                ["tag", "correct", "incorrect", "error_rate"],
-                [(t, c, i, _r4(r)) for t, c, i, r in ima_rows(report.ima)],
-            )
-        )
-        freq_rows = [
-            (branch, entity_type, name, count)
-            for branch in ("correct", "incorrect")
-            for entity_type, names in sorted(report.entity_freq.get(branch, {}).items())
-            for name, count in names.items()
-        ]
-        written.append(
-            write_csv(
-                destination / "entity_frequencies.csv",
-                ["branch", "entity_type", "entity_name", "groups"],
-                freq_rows,
-            )
-        )
-        metric_rows = []
-        for branch, metrics in (("correct", report.correct_metrics), ("incorrect", report.incorrect_metrics)):
-            top = ";".join(f"{name}:{deg}" for name, deg in metrics.top_degree)
-            metric_rows.append(
-                [branch, metrics.node_count, metrics.edge_count, _r4(metrics.density), metrics.component_count, top]
-            )
-        written.append(
-            write_csv(
-                destination / "graph_metrics.csv",
-                ["branch", "nodes", "edges", "density", "components", "top_degree"],
-                metric_rows,
-            )
-        )
-        written.append(
-            write_csv(
-                destination / "requirements.csv",
-                ["kind", "subject", "evidence"],
-                [(w.kind, w.subject, json.dumps(dict(w.evidence), sort_keys=True)) for w in report.requirements],
-            )
-        )
+        doc = report_to_dict(report)
+        scores, ima = doc["scores"], doc["ima"]
+        tables = {
+            "scores.csv": (["quiz_id", "correct", "total", "ratio"], [
+                *([s["quiz_id"], s["correct"], s["total"], _r4(s["correct"] / s["total"] if s["total"] else 0.0)]
+                  for s in scores["per_quiz"]),
+                ["TOTAL", scores["correct"], scores["total"], scores["ratio"]],
+            ]),
+            "ima.csv": (["tag", "correct", "incorrect", "error_rate"], [
+                (tag, ima["correct"].get(tag, 0), ima["incorrect"].get(tag, 0), rate)
+                for tag, rate in ima["error_rate"].items()
+            ]),
+            "entity_frequencies.csv": (["branch", "entity_type", "entity_name", "groups"], [
+                (branch, entity_type, name, count)
+                for branch in ("correct", "incorrect")
+                for entity_type, names in sorted(doc["entity_frequencies"].get(branch, {}).items())
+                for name, count in names.items()
+            ]),
+            "graph_metrics.csv": (["branch", "nodes", "edges", "density", "components", "top_degree"], [
+                [branch, m["nodes"], m["edges"], m["density"], m["components"],
+                 ";".join(f"{name}:{deg}" for name, deg in m["top_degree"])]
+                for branch, m in doc["metrics"].items()
+            ]),
+            "requirements.csv": (["kind", "subject", "evidence"], [
+                (w["kind"], w["subject"], json.dumps(w["evidence"], sort_keys=True)) for w in doc["requirements"]
+            ]),
+        }
+        written.extend(write_csv(destination / name, header, rows) for name, (header, rows) in tables.items())
     elif format == "dot":
         for branch, graph in (("correct", report.correct_graph), ("incorrect", report.incorrect_graph)):
             written.append(write_atomic(destination / f"{branch}_graph.dot", graph_to_dot(graph, f"{branch}_branch")))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -134,6 +135,14 @@ class TestRunEvaluation:
         serial = run_evaluation(sample_corpus, RulesOfConduct(), CONFIG, completion, 1, backend="replay")
         parallel = run_evaluation(sample_corpus, RulesOfConduct(), CONFIG, completion, 4, backend="replay")
         assert serial.verdicts == parallel.verdicts
+
+    def test_plain_function_is_a_completion(self, sample_paths, sample_corpus):
+        # A completion is any function from an envelope to the response text.
+        fixture = json.loads(sample_paths.fixture.read_text(encoding="utf-8"))
+        plain = run_evaluation(sample_corpus, RulesOfConduct(), CONFIG, lambda envelope: fixture[envelope.question_id])
+        replayed = run_evaluation(sample_corpus, RulesOfConduct(), CONFIG, open_replay(sample_paths.fixture))
+        assert plain.verdicts == replayed.verdicts
+        assert dataclasses.replace(plain.run, timestamp="") == dataclasses.replace(replayed.run, timestamp="")
 
     def test_invalid_parallelism(self, sample_corpus):
         with pytest.raises(ValueError):

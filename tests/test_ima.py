@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from quizeval.evaluator import RunMetadata, RunTranscript, Verdict
-from quizeval.ima import analyze_images, ima_rows
+from quizeval.ima import analyze_images
 
 
 def verdict(qid: str, tag: str, ok: bool) -> Verdict:
@@ -76,10 +76,6 @@ class TestAnalyzeImages:
         assert report.correct_hist["SKIN"] >= 13
         assert report.correct_hist["CV"] == 14
         assert report.correct_hist["ENDO"] == 9
-
-    def test_rows_layout(self):
-        report = analyze_images(transcript([verdict("a", "CV", True), verdict("b", "CV", False)]))
-        assert ima_rows(report) == [("CV", 1, 1, 0.5)]
 
     def test_error_rate_definition(self):
         report = analyze_images(

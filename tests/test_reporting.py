@@ -198,10 +198,10 @@ class TestExport:
             "entity_frequencies.csv", "graph_metrics.csv", "ima.csv", "requirements.csv", "scores.csv",
         ]
         scores = (tmp_path / "scores.csv").read_text().splitlines()
-        assert scores[0] == "quiz_id,correct,total,ratio"
-        assert scores[-1].startswith("TOTAL,2,5,")
+        assert scores == ["quiz_id,correct,total,ratio", "qz1,2,5,0.4", "TOTAL,2,5,0.4"]
+        # One row per tag, sorted, with the error rate rounded as in report.json.
         ima_lines = (tmp_path / "ima.csv").read_text().splitlines()
-        assert ima_lines[0] == "tag,correct,incorrect,error_rate"
+        assert ima_lines == ["tag,correct,incorrect,error_rate", "CV,1,2,0.6667", "EYE,0,1,1.0", "LUNG,1,0,0.0"]
 
     def test_dot_export_of_triangle(self, tmp_path):
         transcript, records = small_run()
