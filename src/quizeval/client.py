@@ -172,8 +172,12 @@ def _execute(
     Retryable failures (rate limit, timeout, server, transport) are retried
     up to ``MAX_RETRIES`` times with 1s/2s/4s backoff; the final failure is
     raised as RetriesExhaustedError. Non-retryable failures raise
-    immediately.
+    immediately. A key that an HTTP header cannot carry raises ValueError
+    before any attempt, without naming the key.
     """
+    # http.client would refuse the header in an error that quotes it.
+    if not all("!" <= c <= "~" for c in api_key):
+        raise ValueError("the API key holds a character outside visible ASCII, such as a trailing newline")
     body = request_body(prompt, config)
     transport = transport or _default_transport
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -214,10 +214,12 @@ def scores_to_dict(summary: ScoreSummary) -> dict:
 
 
 def transcript_to_dict(transcript: RunTranscript) -> dict:
+    # Every verdict field is immutable, so asdict's deep copy would only cost time.
+    names = [f.name for f in fields(Verdict)]
     return {
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
         "run": asdict(transcript.run),
-        "verdicts": [asdict(v) for v in transcript.verdicts],
+        "verdicts": [{name: getattr(v, name) for name in names} for v in transcript.verdicts],
         "scores": scores_to_dict(score(transcript)),
     }
 

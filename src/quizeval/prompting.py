@@ -65,6 +65,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        # http.client refuses these characters in a request target, so every request would fail.
+        if any(c <= " " or c == "\x7f" for c in self.endpoint_url):
+            raise ValueError(f"endpoint_url contains whitespace or a control character: {self.endpoint_url!r}")
         parsed = urlparse(self.endpoint_url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ValueError(f"endpoint_url is not a valid http(s) URL: {self.endpoint_url!r}")

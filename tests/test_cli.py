@@ -567,6 +567,45 @@ def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, 
     assert flag == config
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("case, said", [
+    ("key", "error: ValueError: the API key holds a character outside visible ASCII"),
+    ("endpoint-flag", "error: ConfigError: endpoint_url contains whitespace or a control character"),
+    ("endpoint-config", "error: ConfigError: endpoint_url contains whitespace or a control character"),
+], ids=["key", "endpoint-flag", "endpoint-config"])
+def test_unsendable_request_exits_one_before_any_request(command, case, said, analyzed, sample_paths, tmp_path,
+                                                         capsys, monkeypatch):
+    opened = []
+
+    def refuse(*args, **kwargs):
+        opened.append(args)
+        raise OSError("no request may be sent")
+
+    monkeypatch.setattr(client._OPENER, "open", refuse)
+    # A trailing carriage return, as a key file saved on Windows leaves.
+    monkeypatch.setenv("QUIZEVAL_API_KEY", "sk-secret-123\r" if case == "key" else "sk-secret-123")
+    endpoint = "http://127.0.0.1:9/v1/chat" + ("/completions" if case == "key" else " completions")
+    run_out, _ = analyzed
+    out = tmp_path / "out"
+    argv = [command, "--manifest", str(sample_paths.manifest), "--out", str(out)]
+    if command == "run":
+        argv += ["--backend", "live"]
+    else:
+        argv += ["--transcript", str(run_out / "transcript.json"), "--extractor", "llm"]
+    if case == "endpoint-config":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"endpoint": endpoint}))
+        argv += ["--config", str(config_path)]
+    else:
+        argv += ["--endpoint", endpoint]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert said in captured.err
+    assert "sk-secret" not in captured.out + captured.err
+    assert opened == []
+    assert not out.exists()
+
+
 def _config_settable_flags():
     # Read from the parser itself, so a flag added later is covered too.
     _, commands = cli._build_parser()

@@ -189,6 +189,17 @@ class TestLiveCompletion:
         assert call[0] == CONFIG.endpoint_url
         assert call[2]["Authorization"] == "Bearer sk-key"
 
+    @pytest.mark.parametrize("key", ["sk-secret-123\r", "sk-secret-123\n", "sk secret-123", "sk-secret-123\u00e9",
+                                     "sk-secret-123\x7f"])
+    def test_key_a_header_cannot_carry_is_refused_before_any_request(self, key):
+        transport = FakeTransport([])
+        for call in (lambda: complete_text("x", CONFIG, key, transport=transport, sleep=lambda s: None),
+                     lambda: make_live_completion(CONFIG, key, transport=transport, sleep=lambda s: None)(envelope())):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert "secret" not in str(excinfo.value)
+        assert transport.calls == []
+
     def test_bodies_identical_across_credentials(self):
         first = FakeTransport([ok_response("x")])
         second = FakeTransport([ok_response("x")])

@@ -125,5 +125,14 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
 
+    # http.client refuses these in a request target; urlparse drops some of them silently.
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:9/v1/chat completions", "\thttp://host/v1", "http://host/v1\r\n",
+        "http://host/v1\x00", "http://host/\x1fv1", "http://host/v1\x7f",
+    ])
+    def test_rejects_whitespace_and_control_characters_in_endpoint(self, url):
+        with pytest.raises(ValueError, match="endpoint_url contains whitespace or a control character"):
+            EngineConfig(endpoint_url=url)
+
     def test_temperature_zero_allowed(self):
         assert EngineConfig(temperature=0.0).temperature == 0.0
