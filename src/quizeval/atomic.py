@@ -1,38 +1,61 @@
 """Input and output files. Every input file quizeval reads goes through
-``read_text`` or ``read_json``, which turn a file the user got wrong into the
-caller's own error naming the file. Every text file quizeval produces goes
-through ``write_atomic``. The sample's PNG images are bytes and are written
-before the manifest that names them."""
+``read_text``, ``read_json`` or ``read_json_and_digest``, which turn a file
+the user got wrong into the caller's own error naming the file. Every text
+file quizeval produces goes through ``write_atomic``. The sample's PNG images
+are bytes and are written before the manifest that names them."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
 
-def read_text(path: str | Path, error: type[Exception], what: str) -> str:
-    """Read ``path`` as UTF-8 text. A file that is missing, unreadable or not
-    UTF-8, or a path with a NUL in it, raises ``error`` naming ``what`` and
-    the path."""
+@contextmanager
+def _reading(path: str | Path, error: type[Exception], what: str):
+    """Turn a file that is missing, unreadable or not UTF-8, or a path with a
+    NUL in it, into ``error`` naming ``what`` and the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
     except (OSError, ValueError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwargs):
-    """``read_text``, then ``json.loads(text, **loads_kwargs)``. Text that is
-    not JSON, or is nested deeper than the recursion limit, raises ``error``
-    naming ``what`` and the path."""
-    text = read_text(path, error, what)
+def _loads(text: str, path: str | Path, error: type[Exception], what: str, **loads_kwargs):
+    """``json.loads``; text that is not JSON, or is nested deeper than the
+    recursion limit, raises ``error`` naming ``what`` and the path."""
     try:
         return json.loads(text, **loads_kwargs)
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def read_text(path: str | Path, error: type[Exception], what: str) -> str:
+    """Read ``path`` as UTF-8 text, with universal newlines."""
+    with _reading(path, error, what):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwargs):
+    """``read_text``, then ``json.loads(text, **loads_kwargs)``."""
+    return _loads(read_text(path, error, what), path, error, what, **loads_kwargs)
+
+
+def read_json_and_digest(path: str | Path, error: type[Exception], what: str) -> tuple[object, str]:
+    """``read_json``, and the sha256 hex digest of the file's bytes. The file
+    is read once, so the digest is of exactly the document returned. The raw
+    bytes are hashed, so the text is never encoded again."""
+    with _reading(path, error, what):
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    del data  # parse without the raw bytes alive
+    return _loads(text, path, error, what), digest
 
 
 def has_json_type(value, types: tuple[type, ...]) -> bool:

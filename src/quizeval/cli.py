@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import client, ner, reporting
 from .atomic import has_json_type, read_json, read_text
-from .corpus import CorpusError, CorpusValidationError, QuizCorpus, load_corpus
+from .corpus import AnswerKey, CorpusError, CorpusValidationError, load_corpus, read_answer_key
 from .evaluator import RunTranscript, load_transcript, run_evaluation, score
 from .prompting import (
     DEFAULT_ENDPOINT_URL, DEFAULT_MAX_TOKENS, DEFAULT_MODEL_ID, EngineConfig, PromptError, RulesOfConduct,
@@ -194,26 +194,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_transcript_matches_corpus(transcript: RunTranscript, corpus: QuizCorpus) -> None:
+def _check_verdicts(transcript: RunTranscript, answer_key: AnswerKey) -> None:
+    """Each question has exactly one verdict, and it agrees with the manifest
+    on its quiz, correct letter and tag."""
     verdicts = {v.question_id: v for v in transcript.verdicts}
-    corpus_ids = {q.id for q in corpus.iter_questions()}
-    if set(verdicts) != corpus_ids or len(transcript.verdicts) != corpus.question_count:
+    if verdicts.keys() != answer_key.keys() or len(transcript.verdicts) != len(answer_key):
         raise RunMismatchError("transcript and corpus cover different question sets")
-    for question in corpus.iter_questions():
-        verdict = verdicts[question.id]
-        if (verdict.quiz_id != question.quiz_id or verdict.correct_letter != question.correct_letter
-                or verdict.domain_tag != question.image.domain_tag):
-            raise RunMismatchError(f"verdict for {question.id!r} disagrees with the corpus")
+    for qid, expected in answer_key.items():
+        verdict = verdicts[qid]
+        if (verdict.quiz_id, verdict.correct_letter, verdict.domain_tag) != expected:
+            raise RunMismatchError(f"verdict for {qid!r} disagrees with the corpus")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # Checked here, not only in kg.top_degree, so a bad value costs no
-    # extraction calls and is caught even when both graphs are empty.
+    # Checked before any input is read, so a bad value costs no extraction
+    # calls; --top-k is caught even when both graphs are empty, and a
+    # --tag-threshold below 1 would otherwise act as 1.
     _require_at_least_one("--top-k", args.top_k)
+    _require_at_least_one("--tag-threshold", args.tag_threshold)
     _check_request_settings(args)
+    # The manifest's parsed document is dropped before the transcript is
+    # loaded, so the two are never in memory together.
+    answer_key, manifest_sha256 = read_answer_key(args.manifest)
     transcript = load_transcript(args.transcript)
-    corpus = load_corpus(args.manifest)
-    _check_transcript_matches_corpus(transcript, corpus)
+    if transcript.run.manifest_sha256 is None:
+        # A version-1 transcript recorded no digest: validate the manifest,
+        # images included, as the run did.
+        load_corpus(args.manifest)
+    elif transcript.run.manifest_sha256 != manifest_sha256:
+        raise RunMismatchError(
+            f"manifest {args.manifest} is not the one the run read: its sha256 is {manifest_sha256}, "
+            f"the transcript records {transcript.run.manifest_sha256}"
+        )
+    _check_verdicts(transcript, answer_key)
 
     lexicon = ner.EntityLexicon.from_json_file(args.lexicon) if args.lexicon is not None else ner.load_default_lexicon()
     if args.extractor == "gazetteer":

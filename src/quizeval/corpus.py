@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .atomic import is_utf8, read_json
+from .atomic import is_utf8, read_json_and_digest
 
 LETTER_SEQUENCE = "ABCDE"
 MIN_CHOICES = 2
@@ -118,8 +118,12 @@ class Quiz:
 
 @dataclass(frozen=True)
 class QuizCorpus:
+    """A validated corpus, with the sha256 hex digest of the manifest bytes it
+    was validated from."""
+
     quizzes: tuple[Quiz, ...]
     tag_vocabulary: frozenset[str]
+    manifest_sha256: str
 
     @property
     def question_count(self) -> int:
@@ -137,13 +141,48 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     CorpusValidationError carrying every issue found otherwise.
     """
     manifest_path = Path(manifest_path)
-    doc = read_json(manifest_path, MalformedManifestError, "manifest")
+    doc, digest = _read_manifest(manifest_path)
+    return _corpus_from_dict(doc, base_dir=manifest_path.parent, digest=digest)
+
+
+# What a verdict must agree on with its question: (quiz id, correct letter, domain tag).
+AnswerKey = dict[str, tuple[str, str, str]]
+
+
+def read_answer_key(manifest_path: str | Path) -> tuple[AnswerKey, str]:
+    """Each question id's ``AnswerKey`` entry, in manifest order, and the
+    manifest's sha256 hex digest, without validating the manifest or touching
+    an image. A manifest the index cannot be read from raises
+    MalformedManifestError."""
+    doc, digest = _read_manifest(manifest_path)
+    key: AnswerKey = {}
+    try:
+        for quiz in _array(doc["quizzes"]):
+            for question in _array(quiz["questions"]):
+                qid, entry = question["id"], (quiz["id"], question["correct_letter"], question["image"]["domain_tag"])
+                if not all(isinstance(text, str) for text in (qid, *entry)):
+                    raise TypeError("ids, letters and tags must be strings")
+                key[qid] = entry
+    except (KeyError, TypeError) as exc:
+        raise MalformedManifestError(f"manifest {manifest_path} is not manifest-shaped: {exc!r}") from exc
+    return key, digest
+
+
+def _array(value: object) -> list:
+    # A JSON string or object would iterate too, as its characters or keys.
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _read_manifest(manifest_path: str | Path) -> tuple[dict, str]:
+    doc, digest = read_json_and_digest(manifest_path, MalformedManifestError, "manifest")
     if not isinstance(doc, dict):
         raise MalformedManifestError(f"manifest {manifest_path} must hold a JSON object at the top level")
-    return _corpus_from_dict(doc, base_dir=manifest_path.parent)
+    return doc, digest
 
 
-def _corpus_from_dict(doc: dict, base_dir: Path) -> QuizCorpus:
+def _corpus_from_dict(doc: dict, base_dir: Path, digest: str) -> QuizCorpus:
     issues: list[ValidationIssue] = []
 
     vocab_raw = doc.get("tag_vocabulary")
@@ -166,7 +205,7 @@ def _corpus_from_dict(doc: dict, base_dir: Path) -> QuizCorpus:
 
     if issues:
         raise CorpusValidationError(issues)
-    return QuizCorpus(quizzes=tuple(quizzes), tag_vocabulary=vocabulary)
+    return QuizCorpus(quizzes=tuple(quizzes), tag_vocabulary=vocabulary, manifest_sha256=digest)
 
 
 def _parse_quiz(

@@ -23,12 +23,13 @@ from .corpus import Question, QuizCorpus
 from .pool import ordered_map
 from .prompting import EngineConfig, RulesOfConduct, build_prompt
 
-TRANSCRIPT_SCHEMA_VERSION = 1
+TRANSCRIPT_SCHEMA_VERSION = 2
 
 # Answer markers, most specific first; matching is case-insensitive and the
 # LAST occurrence in the response decides.
 _MARKER_RE = re.compile(r"(?:correct\s+)?choice\s*:", re.IGNORECASE)
 _LETTER_RE = re.compile(r"\s*\(?\s*([A-Za-z])(?:\s*\))?")
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def extract_choice(response_text: str) -> str | None:
@@ -77,6 +78,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class RunMetadata:
+    """How a run was made. ``manifest_sha256`` is the sha256 hex digest of
+    the manifest bytes the run read; a version-1 transcript recorded none, and
+    loads with None."""
+
     model_id: str
     max_tokens: int
     endpoint_url: str
@@ -84,7 +89,7 @@ class RunMetadata:
     rules_text: str
     timestamp: str
     backend: str
-    payload_order: str = "text,image"
+    manifest_sha256: str | None
 
 
 # The Python types each field accepts from JSON: its annotation's members.
@@ -177,6 +182,7 @@ def run_evaluation(
         rules_text=rules.instruction_text,
         timestamp=datetime.now(timezone.utc).isoformat(),
         backend=backend,
+        manifest_sha256=corpus.manifest_sha256,
     )
     transcript = RunTranscript(run=metadata, verdicts=tuple(verdicts))
     if transcript_path is not None:
@@ -225,22 +231,30 @@ def transcript_to_dict(transcript: RunTranscript) -> dict:
 
 
 def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
-    """Rebuild a transcript; any malformed document raises ValueError: wrong
-    shape (the message names ``source``) or keys, a run or verdict field of
-    the wrong JSON type, a non-finite temperature, an empty domain tag, a
-    verdict whose ``is_correct`` breaks the scoring rule, or stored scores
-    that differ from the verdicts' scores."""
-    if not isinstance(doc, dict) or doc.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
-        raise ValueError(f"{source} is not a version-{TRANSCRIPT_SCHEMA_VERSION} transcript")
+    """Rebuild a version-2 or version-1 transcript; any malformed document
+    raises ValueError: wrong shape (the message names ``source``) or keys, a
+    run or verdict field of the wrong JSON type, a version-2 manifest digest
+    that is not a sha256 hex digest, a non-finite temperature, an empty domain
+    tag, a verdict whose ``is_correct`` breaks the scoring rule, or stored
+    scores that differ from the verdicts' scores. A version-1 run's
+    ``payload_order`` is accepted and dropped, and its digest is None."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    # has_json_type, because true == 1 and 2.0 == 2 in Python.
+    if not has_json_type(version, (int,)) or version not in (1, TRANSCRIPT_SCHEMA_VERSION):
+        raise ValueError(f"{source} is not a version-1 or version-{TRANSCRIPT_SCHEMA_VERSION} transcript")
     try:
-        transcript = RunTranscript(
-            run=RunMetadata(**doc["run"]), verdicts=tuple(Verdict(**v) for v in doc["verdicts"])
-        )
+        run = doc["run"]
+        if version == 1 and isinstance(run, dict):
+            run = {**run, "manifest_sha256": None}
+            run.pop("payload_order", None)
+        transcript = RunTranscript(run=RunMetadata(**run), verdicts=tuple(Verdict(**v) for v in doc["verdicts"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
     for name, types in _RUN_FIELD_TYPES.items():
         if not has_json_type(getattr(transcript.run, name), types):
             raise ValueError(f"run: {name} has the wrong type")
+    if version != 1 and not _SHA256_RE.fullmatch(transcript.run.manifest_sha256 or ""):
+        raise ValueError("run: manifest_sha256 is not a sha256 hex digest")
     if transcript.run.temperature is not None and not math.isfinite(transcript.run.temperature):
         raise ValueError("run: temperature is not finite")
     for v in transcript.verdicts:

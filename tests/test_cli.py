@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quizeval
-from quizeval import cli, client, pool, sampledata
+from quizeval import cli, client, corpus, pool, sampledata
 from quizeval.cli import main
-from quizeval.evaluator import load_transcript, save_transcript
+from quizeval.evaluator import load_transcript, save_transcript, transcript_to_dict
 
 from .conftest import child_env, fake_entity_reply, make_manifest, make_question
 
@@ -301,26 +302,37 @@ class TestAnalyze:
         assert code == 1
         assert f"error: RunMismatchError: verdict for {first.question_id!r} disagrees" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("top_k", [0, -1])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_top_k_below_one_costs_no_calls(self, analyzed, sample_paths, tmp_path, capsys, monkeypatch,
-                                            top_k, source):
-        run_out, _ = analyzed
+    @staticmethod
+    def _setting_below_one_costs_no_calls(flag, value, source, run_out, sample_paths, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
         monkeypatch.setattr(client, "complete_text", lambda *a, **kw: calls.append(a) or "")
         argv = ["analyze", "--transcript", str(run_out / "transcript.json"),
                 "--manifest", str(sample_paths.manifest), "--extractor", "llm", "--out", str(tmp_path / "k")]
         if source == "flag":
-            argv += ["--top-k", str(top_k)]
+            argv += [flag, str(value)]
         else:
             config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps({"top_k": top_k}))
+            config_path.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
             argv += ["--config", str(config_path)]
         assert run_cli(*argv) == 1
-        assert f"error: ConfigError: --top-k must be at least 1, got {top_k}" in capsys.readouterr().err
+        assert f"error: ConfigError: {flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "k").exists()
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_top_k_below_one_costs_no_calls(self, analyzed, sample_paths, tmp_path, capsys, monkeypatch,
+                                            top_k, source):
+        self._setting_below_one_costs_no_calls("--top-k", top_k, source, analyzed[0], sample_paths, tmp_path,
+                                               capsys, monkeypatch)
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tag_threshold_below_one_costs_no_calls(self, analyzed, sample_paths, tmp_path, capsys, monkeypatch,
+                                                    threshold, source):
+        self._setting_below_one_costs_no_calls("--tag-threshold", threshold, source, analyzed[0], sample_paths,
+                                               tmp_path, capsys, monkeypatch)
 
     def test_llm_outputs_are_the_same_at_any_parallelism(self, analyzed, sample_paths, tmp_path, capsys,
                                                          monkeypatch):
@@ -515,6 +527,101 @@ class TestAnalyze:
         assert set(doc["entity_frequencies"]["correct"]) == {"ORGAN"}
 
 
+@pytest.fixture
+def private_run(tmp_path, capsys):
+    """A sample bundle of the test's own, which it may edit, and the
+    directory its replay run wrote the transcript to."""
+    paths = sampledata.materialize_sample(tmp_path / "sample")
+    run_out = tmp_path / "run"
+    assert run_cli("run", "--manifest", str(paths.manifest), "--backend", "replay",
+                   "--fixture", str(paths.fixture), "--out", str(run_out)) == 0
+    capsys.readouterr()
+    return paths, run_out
+
+
+def _analyze(transcript, manifest, out) -> int:
+    return run_cli("analyze", "--transcript", str(transcript), "--manifest", str(manifest), "--out", str(out))
+
+
+def _outputs(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _write_version_1(transcript, path):
+    """Write ``transcript`` as a version-1 run wrote it: with a payload order
+    and without a manifest digest."""
+    doc = transcript_to_dict(transcript)
+    del doc["run"]["manifest_sha256"]
+    doc["run"]["payload_order"] = "text,image"
+    path.write_text(json.dumps({**doc, "schema_version": 1}), encoding="utf-8")
+    return path
+
+
+class TestManifestDigest:
+    """A version-2 transcript records the sha256 of the manifest bytes the run
+    read; ``analyze`` checks the manifest by that digest, not by validating the
+    corpus again, and a version-1 transcript, which has no digest, is checked
+    by validating the corpus, images included."""
+
+    def test_analyzes_without_the_images(self, private_run, tmp_path, capsys):
+        paths, run_out = private_run
+        assert _analyze(run_out / "transcript.json", paths.manifest, tmp_path / "with-images") == 0
+        shutil.rmtree(paths.images_dir)
+        assert _analyze(run_out / "transcript.json", paths.manifest, tmp_path / "without-images") == 0
+        assert capsys.readouterr().err == ""
+        assert _outputs(tmp_path / "without-images") == _outputs(tmp_path / "with-images")
+
+    def test_never_loads_the_corpus(self, analyzed, sample_paths, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze of a version-2 transcript loaded the corpus")
+
+        monkeypatch.setattr(cli, "load_corpus", refuse)
+        monkeypatch.setattr(corpus, "load_corpus", refuse)
+        run_out, expected = analyzed
+        assert _analyze(run_out / "transcript.json", sample_paths.manifest, tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        assert _outputs(tmp_path / "out") == _outputs(expected)
+
+    def test_manifest_edited_after_the_run_is_refused(self, private_run, tmp_path, capsys):
+        paths, run_out = private_run
+        data = paths.manifest.read_bytes()
+        at = data.index(b'"explanation": "H') + len(b'"explanation": "')
+        paths.manifest.write_bytes(data[:at] + b"h" + data[at + 1:])
+        assert run_cli("validate", "--manifest", str(paths.manifest)) == 0  # still a valid corpus
+        capsys.readouterr()
+        assert _analyze(run_out / "transcript.json", paths.manifest, tmp_path / "out") == 1
+        recorded = json.loads((run_out / "transcript.json").read_text(encoding="utf-8"))["run"]["manifest_sha256"]
+        assert capsys.readouterr().err == (
+            f"error: RunMismatchError: manifest {paths.manifest} is not the one the run read: its sha256 is "
+            f"{hashlib.sha256(paths.manifest.read_bytes()).hexdigest()}, the transcript records {recorded}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_version_1_transcript_is_checked_against_the_corpus(self, private_run, tmp_path, capsys):
+        paths, run_out = private_run
+        transcript = load_transcript(run_out / "transcript.json")
+        v1 = _write_version_1(transcript, tmp_path / "v1.json")
+        assert _analyze(run_out / "transcript.json", paths.manifest, tmp_path / "v2-out") == 0
+        assert _analyze(v1, paths.manifest, tmp_path / "v1-out") == 0
+        assert capsys.readouterr().err == ""
+        v1_out, v2_out = _outputs(tmp_path / "v1-out"), _outputs(tmp_path / "v2-out")
+        v1_report, v2_report = (json.loads(out.pop("report.json")) for out in (v1_out, v2_out))
+        assert v1_out == v2_out
+        assert v1_report == {**v2_report, "run": {**v2_report["run"], "manifest_sha256": None}}
+
+        first = dataclasses.replace(transcript.verdicts[0], quiz_id="quiz8")
+        moved = _write_version_1(dataclasses.replace(transcript, verdicts=(first,) + transcript.verdicts[1:]),
+                                 tmp_path / "v1-moved.json")
+        assert _analyze(moved, paths.manifest, tmp_path / "moved-out") == 1
+        assert capsys.readouterr().err == "error: RunMismatchError: verdict for 'q101' disagrees with the corpus\n"
+
+        shutil.rmtree(paths.images_dir)
+        assert _analyze(v1, paths.manifest, tmp_path / "no-images") == 1
+        err = capsys.readouterr().err
+        assert "  MissingImage: question q101: image file" in err and err.endswith("\n79 errors\n")
+        assert not (tmp_path / "no-images").exists() and not (tmp_path / "moved-out").exists()
+
+
 @pytest.mark.parametrize("command,doc", [
     ("run", {"out": 5}),
     ("run", {"temperature": "hot"}),
@@ -654,15 +761,17 @@ def test_every_optional_flag_is_a_config_key(command, action, tmp_path):
 def _input_argv(name, path, sample_paths, transcript, out):
     """Arguments that make ``cli.main`` read ``path`` as the input ``name``
     after every input it reads earlier is valid."""
-    inputs = {"manifest": sample_paths.manifest, "fixture": sample_paths.fixture, "transcript": transcript, name: path}
+    inputs = {"manifest": sample_paths.manifest, "fixture": sample_paths.fixture, "transcript": transcript,
+              "analyze manifest": sample_paths.manifest, name: path}
     run = ["run", "--manifest", str(inputs["manifest"]), "--backend", "replay",
            "--fixture", str(inputs["fixture"]), "--out", str(out)]
-    analyze = ["analyze", "--transcript", str(inputs["transcript"]), "--manifest", str(inputs["manifest"]),
+    analyze = ["analyze", "--transcript", str(inputs["transcript"]), "--manifest", str(inputs["analyze manifest"]),
                "--out", str(out)]
     return {
         "manifest": run,
         "fixture": run,
         "transcript": analyze,
+        "analyze manifest": analyze,
         "config": ["run", "--config", str(path), "--out", str(out)],
         "lexicon": analyze + ["--lexicon", str(path)],
         "rules file": run + ["--rules-file", str(path)],
@@ -680,7 +789,7 @@ _BAD_FILES = {
 
 @pytest.mark.parametrize("name,case", [
     (name, case)
-    for name in ("manifest", "transcript", "fixture", "config", "lexicon", "rules file")
+    for name in ("manifest", "transcript", "analyze manifest", "fixture", "config", "lexicon", "rules file")
     for case in _BAD_FILES
     # The rules file is text, not JSON.
     if not (name == "rules file" and case in ("nested", "not-an-object"))
@@ -715,8 +824,8 @@ def mutation_bed(tmp_path_factory):
     return root, paths
 
 
-_MUTATED = {"manifest": "manifest.json", "transcript": "transcript.json", "fixture": "replay_fixture.json",
-            "config": "config.json", "lexicon": "lexicon.json"}
+_MUTATED = {"manifest": "manifest.json", "transcript": "transcript.json", "analyze manifest": "manifest.json",
+            "fixture": "replay_fixture.json", "config": "config.json", "lexicon": "lexicon.json"}
 # Bytes that keep a mutated document JSON more often than a random byte does.
 _JSON_BYTES = list(b' "\\{}[],:0123456789.-eEtrufalsn')
 
@@ -846,7 +955,7 @@ GOLDEN_DIGESTS = {
     "manifest.json": "649e9d1a940c2005d687d32950e789e2b368c8b4a87468b0677408cfc69ab2cd",
     "replay_fixture.json": "7ed1a60e7085ae7b209299c20d02673cdc40829dc50b5786274b4b59ffe90f15",
     "images/*.png": "a1abfd410973b0111c215baa879b9edcd739e601659ba44168269767cc2e9108",
-    "transcript.json": "988e6830e00720fd1c6b139763e88f9b78f526f310278f7cb0e8c03527dc5a86",
+    "transcript.json": "1f9c97bb9af84567cdff721e78f055c9964e81687c07dc009929b77e14afe726",
     "correct_graph.dot": "42480f8aa0031ebdf6d6e08fcd652c139ccd00e015500bdbdc4c21c766aaf127",
     "correct_graph.graphml": "dfaad9e8c6bc2b69f979a05ccc004b2d641f40bc582b5e5392cf97f95a89b0aa",
     "entities.csv": "afa2779882dc8fb59fa760e6363c59a74907064790224de5fb46d949ad61d42f",
@@ -855,7 +964,7 @@ GOLDEN_DIGESTS = {
     "ima.csv": "f8e5074bd3146b923b59bca9ab2cdca8e33ec1e65cb917cf6581340c552b3506",
     "incorrect_graph.dot": "6a23705c015ee8ec60833058006486ac57d255ac5ba826fa4795034200e96251",
     "incorrect_graph.graphml": "f11b4a38f153dbda9151f9e5f5c69807564248ddf06ce76b5fc3c962e7c436af",
-    "report.json": "05f4e3158a226d3564bf8fbeb44655621b5c7b487d10769f2bc63eeb5cb02428",
+    "report.json": "4a6b44be80ceaaefb8947a718b931b470c45bae11ec4fd96a84e54ef04159994",
     "requirements.csv": "f66ff49624c0ed17ddd919331546bae6943ccc07dcfc90b201d0c787350003ca",
     "scores.csv": "5fd0e5584772d4d6b2697d83582a95cc0a825f1f813866e62e890cd9f6622418",
 }

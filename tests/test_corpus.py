@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -9,6 +11,7 @@ from quizeval.corpus import (
     MalformedManifestError,
     ValidationIssue,
     load_corpus,
+    read_answer_key,
 )
 
 from .conftest import make_manifest, make_question
@@ -189,6 +192,45 @@ def test_malformed_shape_is_reported(shape, manifest_factory):
     with pytest.raises(CorpusValidationError) as excinfo:
         load_corpus(path)
     assert ValidationIssue("MalformedManifest", message) in excinfo.value.issues
+
+
+class TestReadAnswerKey:
+    def test_sample_key_and_digest(self, sample_paths, sample_corpus):
+        key, digest = read_answer_key(sample_paths.manifest)
+        assert list(key.items()) == [
+            (q.id, (q.quiz_id, q.correct_letter, q.image.domain_tag)) for q in sample_corpus.iter_questions()
+        ]
+        assert digest == sample_corpus.manifest_sha256
+        assert digest == hashlib.sha256(sample_paths.manifest.read_bytes()).hexdigest()
+
+    def test_touches_no_image(self, manifest_factory):
+        path = manifest_factory(make_manifest({"qz1": [make_question("q1", correct="C", tag="EYE")]}),
+                                create_images=False)
+        with pytest.raises(CorpusValidationError):
+            load_corpus(path)
+        assert read_answer_key(path)[0] == {"q1": ("qz1", "C", "EYE")}
+
+    @pytest.mark.parametrize("break_it", [
+        lambda m: m.pop("quizzes"),
+        lambda m: m.update(quizzes=5),
+        lambda m: m.update(quizzes={"qz1": []}),
+        lambda m: m.update(quizzes="qz1"),
+        lambda m: m.update(quizzes=[5]),
+        lambda m: _set_quiz(m, id=["qz1"]),
+        lambda m: _set_quiz(m, questions={}),
+        lambda m: _set_quiz(m, questions=[None]),
+        lambda m: _set_question(m, id={"q": 1}),
+        lambda m: _set_question(m, correct_letter=0),
+        lambda m: _set_question(m, image="images/q1.png"),
+        lambda m: _set_question(m, image={"path": "images/q1.png"}),
+        lambda m: _set_question(m, image={"path": "images/q1.png", "domain_tag": [1]}),
+    ])
+    def test_unreadable_index_names_the_file(self, break_it, manifest_factory):
+        manifest = make_manifest({"qz1": [make_question("q1")]})
+        break_it(manifest)
+        path = manifest_factory(manifest, create_images=False)
+        with pytest.raises(MalformedManifestError, match=re.escape(f"manifest {path} is not manifest-shaped")):
+            read_answer_key(path)
 
 
 class TestCorpusStats:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import threading
 import time
@@ -256,7 +257,7 @@ class TestScore:
                         analysis_text="x",
                     )
                 )
-        meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "t", "replay")
+        meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "t", "replay", "0" * 64)
         return RunTranscript(run=meta, verdicts=tuple(verdicts))
 
     def test_published_style_ratio(self):
@@ -292,6 +293,10 @@ class TestPersistence:
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(ValueError):
             load_transcript(path)
+
+    def test_records_the_digest_of_the_manifest_bytes(self, sample_paths, sample_transcript):
+        digest = hashlib.sha256(sample_paths.manifest.read_bytes()).hexdigest()
+        assert sample_transcript.run.manifest_sha256 == digest
 
     def test_stable_bytes_for_same_transcript(self, sample_transcript, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -372,8 +377,35 @@ class TestTranscriptValidation:
         with pytest.raises(ValueError, match="scores"):
             transcript_from_dict(doc)
 
+    @pytest.mark.parametrize("version", [True, 2.0, "2", None])
+    def test_schema_version_must_be_one_or_two(self, doc, version):
+        doc["schema_version"] = version
+        with pytest.raises(ValueError, match="is not a version-1 or version-2 transcript"):
+            transcript_from_dict(doc)
+
+    def test_payload_order_is_not_a_version_2_field(self, doc):
+        doc["run"]["payload_order"] = "text,image"
+        with pytest.raises(ValueError, match="malformed transcript"):
+            transcript_from_dict(doc)
+
+    @pytest.mark.parametrize("payload_order", [{"payload_order": "text,image"}, {"payload_order": 5}, {}])
+    def test_version_1_loads_without_a_digest(self, doc, sample_transcript, payload_order):
+        doc["schema_version"] = 1
+        del doc["run"]["manifest_sha256"]
+        doc["run"].update(payload_order)
+        transcript = transcript_from_dict(doc)
+        assert transcript.run == dataclasses.replace(sample_transcript.run, manifest_sha256=None)
+        assert transcript.verdicts == sample_transcript.verdicts
+
+    def test_version_1_is_checked_as_version_2_is(self, doc):
+        doc["schema_version"] = 1
+        doc["run"]["max_tokens"] = "x"
+        with pytest.raises(ValueError, match="run: max_tokens has the wrong type"):
+            transcript_from_dict(doc)
+
 
 _TEXT = st.text(max_size=12)
+_SHA256 = st.text("0123456789abcdef", min_size=64, max_size=64)
 
 
 @st.composite
@@ -394,7 +426,7 @@ def _transcripts(min_verdicts: int = 0):
     run = st.builds(
         RunMetadata, model_id=_TEXT, max_tokens=st.integers(), endpoint_url=_TEXT,
         temperature=st.none() | st.floats(allow_nan=False, allow_infinity=False), rules_text=_TEXT,
-        timestamp=_TEXT, backend=_TEXT, payload_order=_TEXT,
+        timestamp=_TEXT, backend=_TEXT, manifest_sha256=_SHA256,
     )
     return st.builds(RunTranscript, run=run,
                      verdicts=st.lists(_verdicts(), min_size=min_verdicts, max_size=6).map(tuple))
@@ -428,13 +460,20 @@ def _tampered_scores(doc, data):
     return "stored scores differ"
 
 
+def _not_a_digest(doc, data):
+    cut, upper, newline = _SHA256.map(lambda d: d[1:]), _SHA256.map(lambda d: "F" + d[1:]), _SHA256.map(lambda d: d + "\n")
+    doc["run"]["manifest_sha256"] = data.draw(st.none() | _TEXT | cut | upper | newline)
+    return "manifest_sha256 is not a sha256 hex digest"
+
+
 class TestTranscriptRoundTrip:
     @settings(deadline=None)
     @given(transcript=_transcripts())
     def test_json_round_trip_is_identity(self, transcript):
         assert transcript_from_dict(json.loads(json.dumps(transcript_to_dict(transcript)))) == transcript
 
-    @pytest.mark.parametrize("breakage", [_flip_is_correct, _empty_domain_tag, _wrong_json_type, _tampered_scores])
+    @pytest.mark.parametrize("breakage", [_flip_is_correct, _empty_domain_tag, _wrong_json_type, _tampered_scores,
+                                          _not_a_digest])
     @settings(deadline=None)
     @given(transcript=_transcripts(min_verdicts=1), data=st.data())
     def test_one_broken_invariant_is_refused(self, breakage, transcript, data):

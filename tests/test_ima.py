@@ -22,7 +22,7 @@ def verdict(qid: str, tag: str, ok: bool) -> Verdict:
 
 
 def transcript(verdicts) -> RunTranscript:
-    meta = RunMetadata("m", 10, "https://example.test/x", None, "rules Correct Choice:", "ts", "replay")
+    meta = RunMetadata("m", 10, "https://example.test/x", None, "rules Correct Choice:", "ts", "replay", "0" * 64)
     return RunTranscript(run=meta, verdicts=tuple(verdicts))
 
 

@@ -107,7 +107,7 @@ class TestExtractEntities:
 
 class TestTranscriptExtraction:
     def make_transcript(self):
-        meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "ts", "replay")
+        meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "ts", "replay", "0" * 64)
         verdicts = (
             Verdict("q0", "qz", "CV", "shows the heart. Correct Choice:A", "A", "A", True,
                     "shows the heart. Correct Choice:A"),

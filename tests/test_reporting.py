@@ -37,7 +37,7 @@ def verdict(qid: str, tag: str, ok: bool, analysis: str) -> Verdict:
 def small_run():
     """Two correct verdicts with sparse entities, three incorrect ones whose
     entities form a clique-heavy (denser) graph."""
-    meta = RunMetadata("m", 10, "https://example.test/x", None, "rules Correct Choice:", "ts", "replay")
+    meta = RunMetadata("m", 10, "https://example.test/x", None, "rules Correct Choice:", "ts", "replay", "0" * 64)
     verdicts = (
         verdict("q0", "CV", True, "plain tissue. Correct Choice:A"),
         verdict("q1", "LUNG", True, "the lung. Correct Choice:A"),
@@ -93,7 +93,7 @@ class TestRequirements:
         assert failures[0].subject in {"Aneurysm", "Dissection"}
 
     def test_dense_cluster_needs_both_densities(self):
-        meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "ts", "replay")
+        meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "ts", "replay", "0" * 64)
         transcript = RunTranscript(
             run=meta,
             verdicts=(verdict("q0", "CV", True, "tissue. Correct Choice:A"),
