@@ -8,7 +8,7 @@ from .ima import IMAReport, analyze_images
 from .kg import EntityGraph, GraphMetrics, UndefinedDensityError, build_graph, compute_metrics, connected_components, density, top_degree
 from .ner import EntityLexicon, EntityRecord, GazetteerExtractor, LlmExtractor, entity_frequencies, extract_entities, extract_from_transcript, load_default_lexicon
 from .prompting import DEFAULT_RULES_TEXT, EngineConfig, PromptEnvelope, RulesOfConduct, build_prompt
-from .reporting import AnalysisReport, RunMismatchError, WeakPath, build_report, export
+from .reporting import AnalysisReport, RunMismatchError, build_report, export
 from .sampledata import materialize_sample
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "RunTranscript",
     "UndefinedDensityError",
     "Verdict",
-    "WeakPath",
     "analyze_images",
     "build_graph",
     "build_prompt",

@@ -255,8 +255,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         written.extend(reporting.export(report, fmt, args.out))
     written.append(ner.write_records_csv(records, args.out / "entities.csv"))
 
-    print(f"analyzed {len(transcript.verdicts)} verdicts: {report.scores.correct} correct, "
-          f"{len(records)} entity records, {len(report.requirements)} requirements")
+    print(f"analyzed {len(transcript.verdicts)} verdicts: {report.document['scores']['correct']} correct, "
+          f"{len(records)} entity records, {len(report.document['requirements'])} requirements")
     for path in written:
         print(f"  wrote {path}")
     return EXIT_OK

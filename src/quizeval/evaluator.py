@@ -212,7 +212,7 @@ def score(transcript: RunTranscript) -> ScoreSummary:
 def scores_to_dict(summary: ScoreSummary) -> dict:
     """The serialised form of a score summary, in the transcript and the report alike."""
     return {
-        "per_quiz": [asdict(s) for s in summary.per_quiz],
+        "per_quiz": [{"quiz_id": s.quiz_id, "correct": s.correct, "total": s.total} for s in summary.per_quiz],
         "correct": summary.correct,
         "total": summary.total,
         "ratio": summary.ratio,

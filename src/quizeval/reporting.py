@@ -1,11 +1,11 @@
 """Aggregation of the run's analyses into one versioned report, plus the
 derived fine-tuning requirements and the exporters.
 
-A requirement (WeakPath) is a machine-derived pointer at a place where
-failures concentrate: a tag seen only on failures, a tag with enough
-failures to matter, a high-degree node in the failure-branch graph, or a
-failure branch that is denser than the success branch. Every evidence
-number in a WeakPath also appears in the report's own tables.
+A requirement is a machine-derived pointer at a place where failures
+concentrate: a tag seen only on failures, a tag with enough failures to
+matter, a high-degree node in the failure-branch graph, or a failure branch
+that is denser than the success branch. Every evidence number in a
+requirement also appears in the report's own tables.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
 
 from .atomic import write_atomic, write_csv
-from .evaluator import RunTranscript, ScoreSummary, score, scores_to_dict
+from .evaluator import RunTranscript, score, scores_to_dict
 from .ima import IMAReport, analyze_images
 from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
 from .ner import EntityRecord, entity_frequencies
@@ -37,24 +36,14 @@ class RunMismatchError(Exception):
 
 
 @dataclass(frozen=True)
-class WeakPath:
-    kind: str
-    subject: str
-    evidence: Mapping[str, float | int]
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
-    run: dict
-    scores: ScoreSummary
-    ima: IMAReport
-    entity_freq: dict[str, dict[str, dict[str, int]]]
+    """``document`` is what report.json holds: stable key order, floats fixed
+    to 4 decimals. The branch graphs are kept for the DOT and GraphML
+    exporters."""
+
+    document: dict
     correct_graph: EntityGraph
     incorrect_graph: EntityGraph
-    correct_metrics: GraphMetrics
-    incorrect_metrics: GraphMetrics
-    requirements: tuple[WeakPath, ...]
-    schema_version: int = REPORT_SCHEMA_VERSION
 
 
 def _r4(value: float | None) -> float | None:
@@ -78,58 +67,52 @@ def derive_requirements(
     incorrect_metrics: GraphMetrics,
     *,
     tag_threshold: int = DEFAULT_TAG_THRESHOLD,
-) -> tuple[WeakPath, ...]:
-    """Derive the requirement list (a pure function of the report tables).
+) -> list[dict]:
+    """Derive the report's requirement entries, ``{"kind", "subject",
+    "evidence"}`` (a pure function of the report tables).
 
-    The high-degree failure entities are ``incorrect_metrics.top_degree``,
-    so their number is the ``k`` those metrics were computed with."""
-    paths: list[WeakPath] = []
-    for tag in sorted(ima_report.incorrect_only_tags):
-        paths.append(
-            WeakPath(
-                kind=KIND_INCORRECT_ONLY_TAG,
-                subject=tag,
-                evidence={
-                    "incorrect": ima_report.incorrect_hist[tag],
-                    "correct": 0,
-                    "error_rate": _r4(ima_report.per_tag_error_rate[tag]),
-                },
-            )
-        )
+    The densities are compared unrounded; the evidence holds them rounded,
+    as the metrics table does. The high-degree failure entities are
+    ``incorrect_metrics.top_degree``, so their number is the ``k`` those
+    metrics were computed with."""
+
+    def tag_path(kind: str, tag: str) -> dict:
+        return {
+            "kind": kind,
+            "subject": tag,
+            "evidence": {
+                "incorrect": ima_report.incorrect_hist[tag],
+                "correct": ima_report.correct_hist.get(tag, 0),
+                "error_rate": _r4(ima_report.per_tag_error_rate[tag]),
+            },
+        }
+
+    paths = [tag_path(KIND_INCORRECT_ONLY_TAG, tag) for tag in sorted(ima_report.incorrect_only_tags)]
     concentrated = sorted(
-        ((tag, n) for tag, n in ima_report.incorrect_hist.items() if n >= tag_threshold),
-        key=lambda kv: (-kv[1], kv[0]),
+        (tag for tag, n in ima_report.incorrect_hist.items() if n >= tag_threshold),
+        key=lambda tag: (-ima_report.incorrect_hist[tag], tag),
     )
-    for tag, n in concentrated:
-        paths.append(
-            WeakPath(
-                kind=KIND_TAG_CONCENTRATION,
-                subject=tag,
-                evidence={
-                    "incorrect": n,
-                    "correct": ima_report.correct_hist.get(tag, 0),
-                    "error_rate": _r4(ima_report.per_tag_error_rate[tag]),
-                },
-            )
-        )
-    for name, degree in incorrect_metrics.top_degree:
-        paths.append(WeakPath(kind=KIND_HIGH_DEGREE_FAILURE, subject=name, evidence={"degree": degree}))
+    paths.extend(tag_path(KIND_TAG_CONCENTRATION, tag) for tag in concentrated)
+    paths.extend(
+        {"kind": KIND_HIGH_DEGREE_FAILURE, "subject": name, "evidence": {"degree": degree}}
+        for name, degree in incorrect_metrics.top_degree
+    )
     if (
         correct_metrics.density is not None
         and incorrect_metrics.density is not None
         and incorrect_metrics.density > correct_metrics.density
     ):
         paths.append(
-            WeakPath(
-                kind=KIND_DENSE_FAILURE_CLUSTER,
-                subject="incorrect-branch",
-                evidence={
+            {
+                "kind": KIND_DENSE_FAILURE_CLUSTER,
+                "subject": "incorrect-branch",
+                "evidence": {
                     "incorrect_density": _r4(incorrect_metrics.density),
                     "correct_density": _r4(correct_metrics.density),
                 },
-            )
+            }
         )
-    return tuple(paths)
+    return paths
 
 
 def build_report(
@@ -141,7 +124,7 @@ def build_report(
 ) -> AnalysisReport:
     """Analyse one run: tag histograms, per-branch entity frequencies,
     graphs and metrics (top ``top_k`` nodes by degree), and the derived
-    requirements.
+    requirements, built once into report.json's document.
 
     ``entity_records`` are the run's extracted entities (see
     ``ner.extract_from_transcript``); a RunMismatchError is raised when
@@ -155,24 +138,33 @@ def build_report(
     incorrect_metrics = compute_metrics(incorrect_graph, k=top_k)
 
     types = sorted({r.entity_type for r in entity_records})
-    entity_freq = {
-        "correct": {t: entity_frequencies(entity_records, t, True) for t in types},
-        "incorrect": {t: entity_frequencies(entity_records, t, False) for t in types},
+    document = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "run": asdict(transcript.run),
+        "scores": scores_to_dict(score(transcript)),
+        "ima": {
+            "correct": ima_report.correct_hist,
+            "incorrect": ima_report.incorrect_hist,
+            "incorrect_only_tags": sorted(ima_report.incorrect_only_tags),
+            "error_rate": {t: _r4(r) for t, r in ima_report.per_tag_error_rate.items()},
+        },
+        "entity_frequencies": {
+            "correct": {t: entity_frequencies(entity_records, t, True) for t in types},
+            "incorrect": {t: entity_frequencies(entity_records, t, False) for t in types},
+        },
+        "graphs": {
+            "correct": _graph_to_obj(correct_graph),
+            "incorrect": _graph_to_obj(incorrect_graph),
+        },
+        "metrics": {
+            "correct": _metrics_to_obj(correct_metrics),
+            "incorrect": _metrics_to_obj(incorrect_metrics),
+        },
+        "requirements": derive_requirements(
+            ima_report, correct_metrics, incorrect_metrics, tag_threshold=tag_threshold
+        ),
     }
-    requirements = derive_requirements(
-        ima_report, correct_metrics, incorrect_metrics, tag_threshold=tag_threshold
-    )
-    return AnalysisReport(
-        run=asdict(transcript.run),
-        scores=score(transcript),
-        ima=ima_report,
-        entity_freq=entity_freq,
-        correct_graph=correct_graph,
-        incorrect_graph=incorrect_graph,
-        correct_metrics=correct_metrics,
-        incorrect_metrics=incorrect_metrics,
-        requirements=requirements,
-    )
+    return AnalysisReport(document, correct_graph, incorrect_graph)
 
 
 def _graph_to_obj(graph: EntityGraph) -> dict:
@@ -197,48 +189,20 @@ def _metrics_to_obj(metrics: GraphMetrics) -> dict:
     }
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    """Serializable form: stable key order, floats fixed to 4 decimals."""
-    return {
-        "schema_version": report.schema_version,
-        "run": dict(report.run),
-        "scores": scores_to_dict(report.scores),
-        "ima": {
-            "correct": dict(report.ima.correct_hist),
-            "incorrect": dict(report.ima.incorrect_hist),
-            "incorrect_only_tags": sorted(report.ima.incorrect_only_tags),
-            "error_rate": {t: _r4(r) for t, r in report.ima.per_tag_error_rate.items()},
-        },
-        "entity_frequencies": report.entity_freq,
-        "graphs": {
-            "correct": _graph_to_obj(report.correct_graph),
-            "incorrect": _graph_to_obj(report.incorrect_graph),
-        },
-        "metrics": {
-            "correct": _metrics_to_obj(report.correct_metrics),
-            "incorrect": _metrics_to_obj(report.incorrect_metrics),
-        },
-        "requirements": [
-            {"kind": w.kind, "subject": w.subject, "evidence": dict(w.evidence)}
-            for w in report.requirements
-        ],
-    }
-
-
 def export(report: AnalysisReport, format: str, destination: str | Path) -> list[Path]:
     """Write the report in one format under ``destination``.
 
-    Formats: "json", "csv-bundle" (one file per table of ``report_to_dict``),
+    Formats: "json", "csv-bundle" (one file per table of the document),
     "dot" and "graphml" (one file per branch graph). All writes are atomic
     (temp file + rename).
     """
     destination = Path(destination)
     written: list[Path] = []
     if format == "json":
-        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report.document, indent=2, sort_keys=True) + "\n"
         written.append(write_atomic(destination / "report.json", text))
     elif format == "csv-bundle":
-        doc = report_to_dict(report)
+        doc = report.document
         scores, ima = doc["scores"], doc["ima"]
         tables = {
             "scores.csv": (["quiz_id", "correct", "total", "ratio"], [

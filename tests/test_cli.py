@@ -828,6 +828,33 @@ _MUTATED = {"manifest": "manifest.json", "transcript": "transcript.json", "analy
             "fixture": "replay_fixture.json", "config": "config.json", "lexicon": "lexicon.json"}
 # Bytes that keep a mutated document JSON more often than a random byte does.
 _JSON_BYTES = list(b' "\\{}[],:0123456789.-eEtrufalsn')
+# One value of each JSON type, to swap in for a subtree of another type.
+_JSON_VALUES = ([], {}, "x", 0, None, True)
+
+
+def _json_type(value) -> type:
+    # True is an int in Python, and 0 and 0.5 are both JSON numbers.
+    return bool if isinstance(value, bool) else float if isinstance(value, int) else type(value)
+
+
+def _subtree_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _subtree_paths(child, (*path, key))
+
+
+def _swap_subtree(original: bytes, data) -> bytes:
+    """``original``'s JSON with one subtree swapped for a value of another
+    JSON type: a document that parses but has the wrong shape somewhere."""
+    box = [json.loads(original)]  # gives the root, too, a parent to swap it in
+    *steps, last = data.draw(st.sampled_from([path for path in _subtree_paths(box) if path]), label="subtree")
+    parent = box
+    for step in steps:
+        parent = parent[step]
+    others = [value for value in _JSON_VALUES if _json_type(value) != _json_type(parent[last])]
+    parent[last] = data.draw(st.sampled_from(others), label="value")
+    return json.dumps(box[0]).encode()
 
 
 @pytest.mark.parametrize("name", list(_MUTATED))
@@ -836,15 +863,19 @@ _JSON_BYTES = list(b' "\\{}[],:0123456789.-eEtrufalsn')
 def test_mutated_input_file_never_ends_in_a_traceback(name, data, mutation_bed):
     root, paths = mutation_bed
     original = (root / _MUTATED[name]).read_bytes()
-    cut = data.draw(st.none() | st.integers(0, len(original) - 1), label="truncate at")
-    new_byte = st.integers(0, 255) | st.sampled_from(_JSON_BYTES)
-    edits = data.draw(st.lists(st.tuples(st.integers(0, len(original) - 1), new_byte),
-                               min_size=0 if cut is not None else 1, max_size=3), label="byte edits")
-    mutated = bytearray(original)
-    for position, byte in edits:
-        mutated[position] = byte
+    if data.draw(st.booleans(), label="swap a subtree"):
+        mutated = _swap_subtree(original, data)
+    else:
+        cut = data.draw(st.none() | st.integers(0, len(original) - 1), label="truncate at")
+        new_byte = st.integers(0, 255) | st.sampled_from(_JSON_BYTES)
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(original) - 1), new_byte),
+                                   min_size=0 if cut is not None else 1, max_size=3), label="byte edits")
+        edited = bytearray(original)
+        for position, byte in edits:
+            edited[position] = byte
+        mutated = bytes(edited[:cut])
     path = root / "mutated.json"
-    path.write_bytes(bytes(mutated[:cut]))
+    path.write_bytes(mutated)
     argv = _input_argv(name, path, paths, root / "transcript.json", root / "out")
     with mock.patch.dict(os.environ):
         os.environ.pop(cli.API_KEY_ENV_VAR, None)

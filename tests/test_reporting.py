@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +17,13 @@ from quizeval.reporting import (
     KIND_INCORRECT_ONLY_TAG,
     KIND_TAG_CONCENTRATION,
     RunMismatchError,
+    AnalysisReport,
     build_report,
     export,
-    report_to_dict,
 )
+from quizeval.sampledata import materialize_sample
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def verdict(qid: str, tag: str, ok: bool, analysis: str) -> Verdict:
@@ -66,31 +71,31 @@ def small_run():
 class TestRequirements:
     def test_all_kinds_derived(self):
         transcript, records = small_run()
-        report = build_report(transcript, records)
-        kinds = {w.kind for w in report.requirements}
+        requirements = build_report(transcript, records).document["requirements"]
+        kinds = {w["kind"] for w in requirements}
         assert kinds == {
             KIND_INCORRECT_ONLY_TAG,
             KIND_TAG_CONCENTRATION,
             KIND_HIGH_DEGREE_FAILURE,
             KIND_DENSE_FAILURE_CLUSTER,
         }
-        only = [w for w in report.requirements if w.kind == KIND_INCORRECT_ONLY_TAG]
-        assert {w.subject for w in only} == {"EYE"}
-        concentrated = [w for w in report.requirements if w.kind == KIND_TAG_CONCENTRATION]
-        assert {w.subject for w in concentrated} == {"CV"}  # 2 incorrect >= default threshold
+        only = [w for w in requirements if w["kind"] == KIND_INCORRECT_ONLY_TAG]
+        assert {w["subject"] for w in only} == {"EYE"}
+        concentrated = [w for w in requirements if w["kind"] == KIND_TAG_CONCENTRATION]
+        assert {w["subject"] for w in concentrated} == {"CV"}  # 2 incorrect >= default threshold
 
     def test_tag_threshold_configurable(self):
         transcript, records = small_run()
         report = build_report(transcript, records, tag_threshold=1)
-        concentrated = {w.subject for w in report.requirements if w.kind == KIND_TAG_CONCENTRATION}
+        concentrated = {w["subject"] for w in report.document["requirements"] if w["kind"] == KIND_TAG_CONCENTRATION}
         assert concentrated == {"CV", "EYE"}
 
     def test_top_k_limits_failure_entities(self):
         transcript, records = small_run()
         report = build_report(transcript, records, top_k=2)
-        failures = [w for w in report.requirements if w.kind == KIND_HIGH_DEGREE_FAILURE]
+        failures = [w for w in report.document["requirements"] if w["kind"] == KIND_HIGH_DEGREE_FAILURE]
         assert len(failures) == 2
-        assert failures[0].subject in {"Aneurysm", "Dissection"}
+        assert failures[0]["subject"] in {"Aneurysm", "Dissection"}
 
     def test_dense_cluster_needs_both_densities(self):
         meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "ts", "replay", "0" * 64)
@@ -100,23 +105,24 @@ class TestRequirements:
                       verdict("q1", "CV", True, "lung. Correct Choice:A")),
         )
         records = [EntityRecord("BODY PART", "Tissue", 0, True), EntityRecord("ORGAN", "Lung", 1, True)]
-        report = build_report(transcript, records)
-        kinds = {w.kind for w in report.requirements}
+        doc = build_report(transcript, records).document
+        kinds = {w["kind"] for w in doc["requirements"]}
         assert KIND_DENSE_FAILURE_CLUSTER not in kinds
-        assert report.incorrect_metrics.density is None
+        assert doc["metrics"]["incorrect"]["density"] is None
 
     def test_dense_cluster_evidence_matches_metrics(self):
         transcript, records = small_run()
         report = build_report(transcript, records)
-        (cluster,) = [w for w in report.requirements if w.kind == KIND_DENSE_FAILURE_CLUSTER]
-        assert cluster.evidence["incorrect_density"] == round(report.incorrect_metrics.density, 4)
-        assert cluster.evidence["correct_density"] == round(report.correct_metrics.density, 4)
-        assert report.incorrect_metrics.density > report.correct_metrics.density
+        (cluster,) = [w for w in report.document["requirements"] if w["kind"] == KIND_DENSE_FAILURE_CLUSTER]
+        correct_density = compute_metrics(report.correct_graph).density
+        incorrect_density = compute_metrics(report.incorrect_graph).density
+        assert cluster["evidence"]["incorrect_density"] == round(incorrect_density, 4)
+        assert cluster["evidence"]["correct_density"] == round(correct_density, 4)
+        assert incorrect_density > correct_density
 
     def test_evidence_appears_in_report_tables(self):
         transcript, records = small_run()
-        report = build_report(transcript, records)
-        doc = report_to_dict(report)
+        doc = build_report(transcript, records).document
         for weak_path in doc["requirements"]:
             evidence = weak_path["evidence"]
             if weak_path["kind"] in (KIND_INCORRECT_ONLY_TAG, KIND_TAG_CONCENTRATION):
@@ -154,15 +160,37 @@ class TestRunMismatch:
     def test_tables_derive_from_the_inputs(self):
         transcript, records = small_run()
         report = build_report(transcript, records, top_k=2)
-        assert report.ima == analyze_images(transcript)
+        doc = report.document
+        ima = analyze_images(transcript)
+        assert doc["ima"] == {
+            "correct": ima.correct_hist,
+            "incorrect": ima.incorrect_hist,
+            "incorrect_only_tags": sorted(ima.incorrect_only_tags),
+            "error_rate": {tag: round(rate, 4) for tag, rate in ima.per_tag_error_rate.items()},
+        }
         correct_graph = build_graph([r for r in records if r.from_correct])
         incorrect_graph = build_graph([r for r in records if not r.from_correct])
         assert (report.correct_graph, report.incorrect_graph) == (correct_graph, incorrect_graph)
-        assert report.correct_metrics == compute_metrics(correct_graph, k=2)
-        assert report.incorrect_metrics == compute_metrics(incorrect_graph, k=2)
+        for branch, graph in (("correct", correct_graph), ("incorrect", incorrect_graph)):
+            metrics = compute_metrics(graph, k=2)
+            assert doc["metrics"][branch] == {
+                "nodes": metrics.node_count,
+                "edges": metrics.edge_count,
+                "density": round(metrics.density, 4),
+                "components": metrics.component_count,
+                "top_degree": [list(pair) for pair in metrics.top_degree],
+            }
+            assert [node["name"] for node in doc["graphs"][branch]["nodes"]] == sorted(graph.nodes)
 
 
 class TestSerialization:
+    def test_report_is_its_document(self, tmp_path):
+        transcript, records = small_run()
+        report = build_report(transcript, records)
+        assert [f.name for f in dataclasses.fields(AnalysisReport)] == ["document", "correct_graph", "incorrect_graph"]
+        (path,) = export(report, "json", tmp_path)
+        assert path.read_text() == json.dumps(report.document, indent=2, sort_keys=True) + "\n"
+
     def test_deterministic_bytes(self, tmp_path):
         transcript, records = small_run()
         report = build_report(transcript, records)
@@ -231,3 +259,16 @@ class TestExport:
         for fmt in ("json", "csv-bundle", "dot", "graphml"):
             export(report, fmt, tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block, run unchanged against the bundled sample,
+    so the documented API cannot drift from the code."""
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+    materialize_sample(tmp_path / "sample")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block.group(1), str(README), "exec"), namespace)
+    assert capsys.readouterr().out == "0.8354\n"
+    written = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert written == namespace["report"].document
