@@ -1,14 +1,17 @@
 """Input and output files. Every input file quizeval reads goes through
 ``read_text``, ``read_json`` or ``read_json_and_digest``, which turn a file
 the user got wrong into the caller's own error naming the file. Every text
-file quizeval produces goes through ``write_atomic``. The sample's PNG images
-are bytes and are written before the manifest that names them."""
+file quizeval produces goes through ``write_atomic``, and its two JSON
+documents, transcript.json and report.json, through ``write_json`` on top of
+it. The sample's PNG images are bytes and are written before the manifest
+that names them."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -77,23 +80,32 @@ def is_utf8(text: str) -> bool:
     return True
 
 
-def write_atomic(path: str | Path, text: str) -> Path:
-    """Write ``text`` as UTF-8 to a sibling temp file, then rename it over
-    ``path``, so readers see the old file or the new one, never a partial
-    one. Newlines are written as given (CSV keeps its \\r\\n). If the write
-    fails, for example on text that cannot be encoded as UTF-8, the temp file
-    is removed and ``path`` is left as it was."""
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write ``text``, or its pieces in order, as UTF-8 to a sibling temp
+    file, then rename it over ``path``, so readers see the old file or the new
+    one, never a partial one. Newlines are written as given (CSV keeps its
+    \\r\\n). If the write fails, for example on text that cannot be encoded
+    as UTF-8 or a piece that cannot be produced, the temp file is removed and
+    ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_json(path: str | Path, document) -> Path:
+    """Write ``json.dumps(document, indent=2, sort_keys=True)`` and a newline
+    through ``write_atomic``, streamed piece by piece from the encoder: the
+    bytes are the same, but the whole text never exists in memory."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    return write_atomic(path, itertools.chain(pieces, ["\n"]))
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> Path:

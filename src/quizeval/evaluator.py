@@ -9,7 +9,6 @@ and graph stages consume.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, fields
@@ -17,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .atomic import has_json_type, is_utf8, read_json, write_atomic
+from .atomic import has_json_type, is_utf8, read_json, write_json
 from .client import ClientError, CompletionFn
 from .corpus import Question, QuizCorpus
 from .pool import ordered_map
@@ -25,9 +24,10 @@ from .prompting import EngineConfig, RulesOfConduct, build_prompt
 
 TRANSCRIPT_SCHEMA_VERSION = 2
 
-# Answer markers, most specific first; matching is case-insensitive and the
-# LAST occurrence in the response decides.
-_MARKER_RE = re.compile(r"(?:correct\s+)?choice\s*:", re.IGNORECASE)
+# The answer marker, in any case; the LAST occurrence in the response decides.
+# The greedy ``.*`` backtracks from the end, so the match ends where the last
+# marker ends; a "Correct " prefix never moves that end, so it is not matched.
+_MARKER_RE = re.compile(r".*choice\s*:", re.IGNORECASE | re.DOTALL)
 _LETTER_RE = re.compile(r"\s*\(?\s*([A-Za-z])(?:\s*\))?")
 _SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
@@ -41,9 +41,7 @@ def extract_choice(response_text: str) -> str | None:
     letter uppercased. Returns None when no parseable marker+letter exists;
     the result depends only on the final marker occurrence.
     """
-    last = None
-    for match in _MARKER_RE.finditer(response_text):
-        last = match
+    last = _MARKER_RE.match(response_text)
     if last is None:
         return None
     letter_match = _LETTER_RE.match(response_text, last.end())
@@ -275,7 +273,7 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
 
 def save_transcript(transcript: RunTranscript, path: str | Path) -> Path:
     """Persist the transcript as stable, sorted-key JSON (atomic write)."""
-    return write_atomic(path, json.dumps(transcript_to_dict(transcript), indent=2, sort_keys=True) + "\n")
+    return write_json(path, transcript_to_dict(transcript))
 
 
 def load_transcript(path: str | Path) -> RunTranscript:

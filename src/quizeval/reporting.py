@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .atomic import write_atomic, write_csv
+from .atomic import write_atomic, write_csv, write_json
 from .evaluator import RunTranscript, score, scores_to_dict
 from .ima import IMAReport, analyze_images
 from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
@@ -199,8 +199,7 @@ def export(report: AnalysisReport, format: str, destination: str | Path) -> list
     destination = Path(destination)
     written: list[Path] = []
     if format == "json":
-        text = json.dumps(report.document, indent=2, sort_keys=True) + "\n"
-        written.append(write_atomic(destination / "report.json", text))
+        written.append(write_json(destination / "report.json", report.document))
     elif format == "csv-bundle":
         doc = report.document
         scores, ima = doc["scores"], doc["ima"]

@@ -2,14 +2,16 @@
 
 Nothing here shares code with the package: density counts pairs directly,
 components come from a full pairwise reachability closure, degrees from a
-plain edge scan, gazetteer matches from exhaustive span enumeration, and
-request bodies from one ``json.dumps`` of the whole payload.
+plain edge scan, gazetteer matches from exhaustive span enumeration,
+request bodies from one ``json.dumps`` of the whole payload, and the answer
+letter from a left-to-right scan over every marker occurrence.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import re
 from itertools import combinations
 
 
@@ -97,3 +99,20 @@ def bf_request_body(
     if temperature is not None:
         payload["temperature"] = temperature
     return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def bf_extract_choice(response_text: str) -> str | None:
+    """The answer letter after the last "Choice:" marker (any case, optional
+    "Correct " prefix), found by visiting every marker occurrence in turn."""
+    last = None
+    for match in re.finditer(r"(?:correct\s+)?choice\s*:", response_text, re.IGNORECASE):
+        last = match
+    if last is None:
+        return None
+    letter_match = re.compile(r"\s*\(?\s*([A-Za-z])(?:\s*\))?").match(response_text, last.end())
+    if letter_match is None:
+        return None
+    following = response_text[letter_match.end() : letter_match.end() + 1]
+    if following.isalnum():
+        return None
+    return letter_match.group(1).upper()

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import json
+import tracemalloc
 
-from quizeval.atomic import write_atomic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quizeval.atomic import write_atomic, write_json
 
 
 def test_failed_write_leaves_no_temp_file_and_the_old_file_intact(tmp_path):
@@ -12,3 +17,48 @@ def test_failed_write_leaves_no_temp_file_and_the_old_file_intact(tmp_path):
         write_atomic(path, "tag,\ud800\n")  # a lone surrogate has no UTF-8 encoding
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ima.csv"]
     assert path.read_text(encoding="utf-8") == "old\n"
+
+
+def test_pieces_are_written_in_order(tmp_path):
+    path = write_atomic(tmp_path / "out.txt", iter(["a,", "b\r\n", "", "ç\n"]))
+    assert path.read_bytes() == "a,b\r\nç\n".encode()
+
+
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0) | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=JSON_DOCUMENTS)
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, document):
+    path = write_json(tmp_path_factory.mktemp("json") / "doc.json", document)
+    assert path.read_bytes() == (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_write_json_that_cannot_encode_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(path, {"old": True})
+    before = path.read_bytes()
+    # The encoder fails only after earlier pieces reached the temp file.
+    with pytest.raises(TypeError):
+        write_json(path, {"a": "x" * 100_000, "b": [1, [2, {"c": [object()]}]]})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert path.read_bytes() == before
+
+
+def test_write_json_never_holds_the_whole_text(tmp_path):
+    # Shaped like a transcript: one long list of small objects.
+    document = {"verdicts": [{"question_id": f"q{i:05d}", "analysis_text": "word " * 40, "ok": i % 2 == 0}
+                             for i in range(16_000)]}
+    tracemalloc.start()
+    try:
+        path = write_json(tmp_path / "big.json", document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= 4_000_000
+    assert peak < 1_000_000

@@ -32,8 +32,9 @@ def test_tracer_installs_on_run_and_analyze(sample_paths, tmp_path):
                                 "--backend", "replay", "--fixture", str(sample_paths.fixture), "--out", str(run_out))
     assert probe["calls"] == 79
     assert (spans["completion"], spans["build_prompt"], spans["run_evaluation"]) == (79, 79, 1)
+    assert (spans["extract_choice"], spans["save_transcript"]) == (79, 1)
 
     _, spans = traced_stage(tmp_path / "analyze.json", "analyze", "--transcript", str(run_out / "transcript.json"),
                             "--manifest", str(sample_paths.manifest), "--out", str(analysis_out))
-    assert spans["build_report"] == 1
+    assert (spans["load_transcript"], spans["build_report"]) == (1, 1)
     assert spans["export"] == 4

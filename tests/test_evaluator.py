@@ -29,6 +29,7 @@ from quizeval.evaluator import (
 from quizeval.prompting import EngineConfig, ImageReadError, RulesOfConduct
 from quizeval.sampledata import materialize_sample
 
+from .bruteforce import bf_extract_choice
 from .conftest import make_manifest, make_question
 
 CONFIG = EngineConfig(endpoint_url="https://example.test/v1/chat/completions")
@@ -74,6 +75,16 @@ class TestExtractChoice:
 
     def test_trailing_new_marker_changes_result(self):
         assert extract_choice("Correct Choice:B. Wait, choice: a") == "A"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        # Whole markers, and pieces that join into one ("choic" + "e:").
+        st.sampled_from(["Choice:", "Correct Choice:", "CHOICE :", "choice", "Correct ", "CHOICE", "choic", "e:", ":"]),
+        # Whitespace, parentheses, letters, digits, and code points that case-fold onto ASCII.
+        st.sampled_from([" ", "\n", "\t", "(", ")", "a", "B", "z", "7", "İ", "ı", "ſ", "\u212a"]),
+    ), max_size=20).map("".join))
+    def test_agrees_with_a_scan_over_every_marker(self, text):
+        assert extract_choice(text) == bf_extract_choice(text)
 
 
 def tiny_corpus(manifest_factory, responses: dict[str, str], n: int = 3):
