@@ -49,16 +49,17 @@ def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwarg
     return _loads(read_text(path, error, what), path, error, what, **loads_kwargs)
 
 
-def read_json_and_digest(path: str | Path, error: type[Exception], what: str) -> tuple[object, str]:
+def read_json_and_digest(path: str | Path, error: type[Exception], what: str, **loads_kwargs) -> tuple[object, str]:
     """``read_json``, and the sha256 hex digest of the file's bytes. The file
     is read once, so the digest is of exactly the document returned. The raw
-    bytes are hashed, so the text is never encoded again."""
+    bytes are hashed, so the text is never encoded again; until the parse the
+    bytes and the text are both held, about twice the file's size."""
     with _reading(path, error, what):
         data = Path(path).read_bytes()
         text = data.decode("utf-8")
     digest = hashlib.sha256(data).hexdigest()
     del data  # parse without the raw bytes alive
-    return _loads(text, path, error, what), digest
+    return _loads(text, path, error, what, **loads_kwargs), digest
 
 
 def has_json_type(value, types: tuple[type, ...]) -> bool:
@@ -92,7 +93,10 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+            pieces = iter([text] if isinstance(text, str) else text)
+            # Joined 4,096 at a time: an encoder yields many tiny pieces, and each write is a call.
+            while batch := list(itertools.islice(pieces, 4096)):
+                handle.write("".join(batch))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -102,8 +106,8 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
 
 def write_json(path: str | Path, document) -> Path:
     """Write ``json.dumps(document, indent=2, sort_keys=True)`` and a newline
-    through ``write_atomic``, streamed piece by piece from the encoder: the
-    bytes are the same, but the whole text never exists in memory."""
+    through ``write_atomic``, streamed from the encoder in batches of pieces:
+    the bytes are the same, but the whole text never exists in memory."""
     pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
     return write_atomic(path, itertools.chain(pieces, ["\n"]))
 

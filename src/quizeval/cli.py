@@ -206,6 +206,25 @@ def _check_verdicts(transcript: RunTranscript, answer_key: AnswerKey) -> None:
             raise RunMismatchError(f"verdict for {qid!r} disagrees with the corpus")
 
 
+def _checked_transcript(transcript_path: Path, manifest_path: Path) -> RunTranscript:
+    """The transcript, checked against the manifest its run read. The answer
+    key is read before the transcript is loaded and is freed on return, before
+    extraction and the report allocate."""
+    answer_key, manifest_sha256 = read_answer_key(manifest_path)
+    transcript = load_transcript(transcript_path)
+    if transcript.run.manifest_sha256 is None:
+        # A version-1 transcript recorded no digest: validate the manifest,
+        # images included, as the run did.
+        load_corpus(manifest_path)
+    elif transcript.run.manifest_sha256 != manifest_sha256:
+        raise RunMismatchError(
+            f"manifest {manifest_path} is not the one the run read: its sha256 is {manifest_sha256}, "
+            f"the transcript records {transcript.run.manifest_sha256}"
+        )
+    _check_verdicts(transcript, answer_key)
+    return transcript
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # Checked before any input is read, so a bad value costs no extraction
     # calls; --top-k is caught even when both graphs are empty, and a
@@ -213,20 +232,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _require_at_least_one("--top-k", args.top_k)
     _require_at_least_one("--tag-threshold", args.tag_threshold)
     _check_request_settings(args)
-    # The manifest's parsed document is dropped before the transcript is
-    # loaded, so the two are never in memory together.
-    answer_key, manifest_sha256 = read_answer_key(args.manifest)
-    transcript = load_transcript(args.transcript)
-    if transcript.run.manifest_sha256 is None:
-        # A version-1 transcript recorded no digest: validate the manifest,
-        # images included, as the run did.
-        load_corpus(args.manifest)
-    elif transcript.run.manifest_sha256 != manifest_sha256:
-        raise RunMismatchError(
-            f"manifest {args.manifest} is not the one the run read: its sha256 is {manifest_sha256}, "
-            f"the transcript records {transcript.run.manifest_sha256}"
-        )
-    _check_verdicts(transcript, answer_key)
+    transcript = _checked_transcript(args.transcript, args.manifest)
 
     lexicon = ner.EntityLexicon.from_json_file(args.lexicon) if args.lexicon is not None else ner.load_default_lexicon()
     if args.extractor == "gazetteer":

@@ -147,14 +147,20 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
 
 # What a verdict must agree on with its question: (quiz id, correct letter, domain tag).
 AnswerKey = dict[str, tuple[str, str, str]]
+# The only member names read_answer_key's walk reads.
+_ANSWER_KEY_NAMES = frozenset({"quizzes", "questions", "id", "correct_letter", "image", "domain_tag"})
 
 
 def read_answer_key(manifest_path: str | Path) -> tuple[AnswerKey, str]:
     """Each question id's ``AnswerKey`` entry, in manifest order, and the
     manifest's sha256 hex digest, without validating the manifest or touching
-    an image. A manifest the index cannot be read from raises
-    MalformedManifestError."""
-    doc, digest = _read_manifest(manifest_path)
+    an image. Each object keeps only its ``_ANSWER_KEY_NAMES`` members as it
+    is parsed (a repeated name's last value wins, as in ``json.loads``), so
+    stems, choices and explanations are never held. A manifest the key cannot
+    be read from raises MalformedManifestError."""
+    doc, digest = _read_manifest(
+        manifest_path, object_pairs_hook=lambda pairs: {k: v for k, v in pairs if k in _ANSWER_KEY_NAMES}
+    )
     key: AnswerKey = {}
     try:
         for quiz in _array(doc["quizzes"]):
@@ -175,8 +181,8 @@ def _array(value: object) -> list:
     return value
 
 
-def _read_manifest(manifest_path: str | Path) -> tuple[dict, str]:
-    doc, digest = read_json_and_digest(manifest_path, MalformedManifestError, "manifest")
+def _read_manifest(manifest_path: str | Path, **loads_kwargs) -> tuple[dict, str]:
+    doc, digest = read_json_and_digest(manifest_path, MalformedManifestError, "manifest", **loads_kwargs)
     if not isinstance(doc, dict):
         raise MalformedManifestError(f"manifest {manifest_path} must hold a JSON object at the top level")
     return doc, digest

@@ -3,16 +3,22 @@
 Nothing here shares code with the package: density counts pairs directly,
 components come from a full pairwise reachability closure, degrees from a
 plain edge scan, gazetteer matches from exhaustive span enumeration,
-request bodies from one ``json.dumps`` of the whole payload, and the answer
-letter from a left-to-right scan over every marker occurrence.
+request bodies from one ``json.dumps`` of the whole payload, the answer
+letter from a left-to-right scan over every marker occurrence, and the answer
+key from a full ``json.loads`` of the manifest and a walk that checks each
+member before reading it. Only the package's exception classes are shared.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import re
 from itertools import combinations
+from pathlib import Path
+
+from quizeval.corpus import MalformedManifestError
 
 
 def bf_density(n: int, edge_count: int, directed: bool = False) -> float:
@@ -116,3 +122,26 @@ def bf_extract_choice(response_text: str) -> str | None:
     if following.isalnum():
         return None
     return letter_match.group(1).upper()
+
+
+def bf_read_answer_key(path: str | Path) -> tuple[dict[str, tuple[str, str, str]], str]:
+    """Each question id's (quiz id, correct letter, domain tag), later ids
+    overwriting earlier ones, and the sha256 hex digest of the file's bytes.
+    The whole document is parsed; a member that is missing or of the wrong
+    type raises MalformedManifestError."""
+    data = Path(path).read_bytes()
+    document = json.loads(data.decode("utf-8"))
+
+    def member(obj: object, name: str, kind: type):
+        if not isinstance(obj, dict) or name not in obj or not isinstance(obj[name], kind):
+            raise MalformedManifestError(f"no {kind.__name__} member {name!r}")
+        return obj[name]
+
+    key = {}
+    for quiz in member(document, "quizzes", list):
+        for question in member(quiz, "questions", list):
+            image = member(question, "image", dict)
+            key[member(question, "id", str)] = (
+                member(quiz, "id", str), member(question, "correct_letter", str), member(image, "domain_tag", str)
+            )
+    return key, hashlib.sha256(data).hexdigest()

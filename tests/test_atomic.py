@@ -24,6 +24,15 @@ def test_pieces_are_written_in_order(tmp_path):
     assert path.read_bytes() == "a,b\r\nç\n".encode()
 
 
+@pytest.mark.parametrize("count", [0, 4095, 4096, 4097])
+@pytest.mark.parametrize("filler", ["x", ""])
+def test_pieces_written_in_batches_keep_their_bytes(tmp_path, count, filler):
+    # With empty fillers a whole batch of 4,096 joins to "", which must not end the write.
+    pieces = [filler] * (count - 1) + ["ç\n"] if count else []
+    path = write_atomic(tmp_path / "out.txt", pieces)
+    assert path.read_bytes() == "".join(pieces).encode()
+
+
 JSON_DOCUMENTS = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-(10**30), max_value=10**30)
     | st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0) | st.text(),

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quizeval.corpus import (
     CorpusValidationError,
@@ -14,6 +18,7 @@ from quizeval.corpus import (
     read_answer_key,
 )
 
+from .bruteforce import bf_read_answer_key
 from .conftest import make_manifest, make_question
 
 
@@ -231,6 +236,112 @@ class TestReadAnswerKey:
         path = manifest_factory(manifest, create_images=False)
         with pytest.raises(MalformedManifestError, match=re.escape(f"manifest {path} is not manifest-shaped")):
             read_answer_key(path)
+
+    @staticmethod
+    def _one_question(tmp_path, members: str):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"quizzes": [{"id": "qz1", "questions": [{%s, "correct_letter": "B", '
+                        '"image": {"domain_tag": "CV"}}]}]}' % members, encoding="utf-8")
+        return path
+
+    def test_a_repeated_id_member_keeps_its_last_value(self, tmp_path):
+        path = self._one_question(tmp_path, '"id": 7, "stem": "s", "id": "q1"')
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert read_answer_key(path) == bf_read_answer_key(path) == ({"q1": ("qz1", "B", "CV")}, digest)
+
+    def test_a_repeated_id_member_ending_in_a_number_is_refused(self, tmp_path):
+        path = self._one_question(tmp_path, '"id": "q1", "stem": "s", "id": 7')
+        for read in (read_answer_key, bf_read_answer_key):
+            with pytest.raises(MalformedManifestError):
+                read(path)
+
+    def test_peak_memory_is_about_the_bytes_and_text_of_the_file(self, sample_paths, tmp_path):
+        # 1,975 sample-shaped questions: the sample's 79 in each of 25 quizzes.
+        sample = json.loads(sample_paths.manifest.read_text(encoding="utf-8"))
+        questions = [question for quiz in sample["quizzes"] for question in quiz["questions"]]
+        sample["quizzes"] = [
+            {"id": f"quiz{n}", "title": f"Quiz {n}", "questions": [{**q, "id": f"{q['id']}-{n}"} for q in questions]}
+            for n in range(25)
+        ]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(sample, indent=1) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            key, _ = read_answer_key(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(key) == 1975
+        # The file's bytes and its decoded text are held together once; the
+        # parsed document, which keeps only the key's members, stays below that.
+        assert peak <= 2.25 * path.stat().st_size
+
+
+_KEPT_NAMES = ["quizzes", "questions", "id", "correct_letter", "image", "domain_tag"]
+_MEMBER_NAMES = st.sampled_from(_KEPT_NAMES) | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_MEMBER_NAMES, children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _manifests(draw):
+    """Manifest-shaped documents with extra members at every level, the key's
+    member names nested in choices, titles and unknown members, question ids
+    that repeat, and now and then a member missing or swapped for any JSON
+    value, the top level included."""
+    def obj(members: dict) -> dict:
+        document = draw(st.dictionaries(_MEMBER_NAMES, _JSON_VALUES, max_size=2))
+        for name, make in members.items():
+            fate = draw(st.integers(0, 24))
+            if fate == 24:
+                document.pop(name, None)
+            else:
+                document[name] = make() if fate < 23 else draw(_JSON_VALUES)
+        return document
+
+    def question() -> dict:
+        return obj({
+            "id": lambda: draw(st.sampled_from(["q1", "q2", "q3"])),
+            "stem": lambda: draw(st.text(max_size=4)),
+            "choices": lambda: [obj({"letter": lambda: letter, "text": lambda: draw(_JSON_VALUES)})
+                                for letter in "ABC"[: draw(st.integers(0, 3))]],
+            "correct_letter": lambda: draw(st.sampled_from("ABC")),
+            "explanation": lambda: draw(st.text(max_size=4)),
+            "image": lambda: obj({"path": lambda: "images/q.png",
+                                  "domain_tag": lambda: draw(st.sampled_from(["CV", "EYE"]))}),
+        })
+
+    def quiz() -> dict:
+        return obj({
+            "id": lambda: draw(st.sampled_from(["qz1", "qz2"])),
+            "title": lambda: draw(_JSON_VALUES),
+            "questions": lambda: [question() for _ in range(draw(st.integers(0, 3)))],
+        })
+
+    if draw(st.integers(0, 24)) == 24:
+        return draw(_JSON_VALUES)
+    return obj({
+        "tag_vocabulary": lambda: ["CV", "EYE"],
+        "quizzes": lambda: [quiz() for _ in range(draw(st.integers(1, 3)))],
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest=_manifests())
+def test_read_answer_key_agrees_with_a_full_parse(tmp_path_factory, manifest):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    try:
+        expected = bf_read_answer_key(path)
+    except MalformedManifestError:
+        with pytest.raises(MalformedManifestError):
+            read_answer_key(path)
+    else:
+        key, digest = read_answer_key(path)
+        assert (list(key.items()), digest) == (list(expected[0].items()), expected[1])
 
 
 class TestCorpusStats:
