@@ -1,10 +1,10 @@
 """Input and output files. Every input file quizeval reads goes through
 ``read_text``, ``read_json`` or ``read_json_and_digest``, which turn a file
 the user got wrong into the caller's own error naming the file. Every text
-file quizeval produces goes through ``write_atomic``, and its two JSON
+file quizeval produces goes through ``write_atomic``: its two JSON
 documents, transcript.json and report.json, through ``write_json`` on top of
-it. The sample's PNG images are bytes and are written before the manifest
-that names them."""
+it, and its CSV tables through ``write_csv``. The sample's PNG images are
+bytes and are written before the manifest that names them."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 @contextmanager
@@ -84,19 +84,17 @@ def is_utf8(text: str) -> bool:
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     """Write ``text``, or its pieces in order, as UTF-8 to a sibling temp
     file, then rename it over ``path``, so readers see the old file or the new
-    one, never a partial one. Newlines are written as given (CSV keeps its
-    \\r\\n). If the write fails, for example on text that cannot be encoded
-    as UTF-8 or a piece that cannot be produced, the temp file is removed and
-    ``path`` is left as it was."""
+    one, never a partial one. Each piece is one write, so a caller with many
+    tiny pieces joins them first (``_batches``). Newlines are written as given
+    (CSV keeps its \\r\\n). If the write fails, for example on text that
+    cannot be encoded as UTF-8 or a piece that cannot be produced, the temp
+    file is removed and ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            pieces = iter([text] if isinstance(text, str) else text)
-            # Joined 4,096 at a time: an encoder yields many tiny pieces, and each write is a call.
-            while batch := list(itertools.islice(pieces, 4096)):
-                handle.write("".join(batch))
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -104,18 +102,33 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     return path
 
 
+def _batches(items: Iterable) -> Iterator[list]:
+    """Lists of up to 4,096 consecutive items, in order."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, 4096)):
+        yield batch
+
+
 def write_json(path: str | Path, document) -> Path:
     """Write ``json.dumps(document, indent=2, sort_keys=True)`` and a newline
-    through ``write_atomic``, streamed from the encoder in batches of pieces:
-    the bytes are the same, but the whole text never exists in memory."""
+    through ``write_atomic``, streamed from the encoder with its pieces joined
+    4,096 at a time: the bytes are the same, but the whole text never exists
+    in memory."""
     pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
-    return write_atomic(path, itertools.chain(pieces, ["\n"]))
+    return write_atomic(path, map("".join, _batches(itertools.chain(pieces, ["\n"]))))
+
+
+def _csv_text(rows: list) -> str:
+    # A fresh buffer per batch: truncating a StringIO to reuse it switches it
+    # to four bytes per character.
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> Path:
-    """Write one table as CSV (``csv.writer`` dialect) through ``write_atomic``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return write_atomic(path, buffer.getvalue())
+    """Write one table as CSV (``csv.writer`` dialect) through
+    ``write_atomic``, 4,096 rows at a time: the bytes are the same as one
+    ``writerows`` of the whole table, but its whole text never exists in
+    memory. A row that ``csv.writer`` refuses leaves ``path`` as it was."""
+    return write_atomic(path, map(_csv_text, _batches(itertools.chain([header], rows))))

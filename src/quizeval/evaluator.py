@@ -277,5 +277,19 @@ def save_transcript(transcript: RunTranscript, path: str | Path) -> Path:
 
 
 def load_transcript(path: str | Path) -> RunTranscript:
-    """Read and check a transcript; an unreadable or malformed file raises ValueError."""
-    return transcript_from_dict(read_json(path, ValueError, "transcript"), f"transcript {path}")
+    """Read and check a transcript; an unreadable or malformed file raises ValueError.
+
+    Each distinct string value of ``raw_response``, ``analysis_text``,
+    ``quiz_id`` and ``domain_tag`` is kept as one object, shared as each
+    object is parsed, so a correct verdict's analysis text (its response) and
+    the repeated quiz ids and tags are never held twice."""
+    shared: dict[str, str] = {}
+
+    def share(obj: dict) -> dict:
+        for name in ("raw_response", "analysis_text", "quiz_id", "domain_tag"):
+            value = obj.get(name)
+            if isinstance(value, str):  # any other type must reach transcript_from_dict's type check
+                obj[name] = shared.setdefault(value, value)
+        return obj
+
+    return transcript_from_dict(read_json(path, ValueError, "transcript", object_hook=share), f"transcript {path}")

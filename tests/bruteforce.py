@@ -4,15 +4,18 @@ Nothing here shares code with the package: density counts pairs directly,
 components come from a full pairwise reachability closure, degrees from a
 plain edge scan, gazetteer matches from exhaustive span enumeration,
 request bodies from one ``json.dumps`` of the whole payload, the answer
-letter from a left-to-right scan over every marker occurrence, and the answer
+letter from a left-to-right scan over every marker occurrence, the answer
 key from a full ``json.loads`` of the manifest and a walk that checks each
-member before reading it. Only the package's exception classes are shared.
+member before reading it, and a CSV table from one ``writerows`` of the whole
+table written at once. Only the package's exception classes are shared.
 """
 
 from __future__ import annotations
 
 import base64
+import csv
 import hashlib
+import io
 import json
 import re
 from itertools import combinations
@@ -145,3 +148,14 @@ def bf_read_answer_key(path: str | Path) -> tuple[dict[str, tuple[str, str, str]
                 member(quiz, "id", str), member(question, "correct_letter", str), member(image, "domain_tag", str)
             )
     return key, hashlib.sha256(data).hexdigest()
+
+
+def bf_write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """The table's whole text, built by one ``csv.writer`` in a ``StringIO``,
+    written to ``path`` in one write."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    return Path(path)

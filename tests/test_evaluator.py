@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
+import random
+import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +321,61 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _replay_shaped(count: int) -> RunTranscript:
+    """Verdicts shaped like the replay benchmark's: unique 40-60 word texts,
+    80% correct (so 80% of analysis texts are their response), short wrong
+    responses, 16 quiz ids and 5 tags."""
+    rng = random.Random(19)
+    words = ["a", "second", "look", "confirms", "cirrhosis", "hemosiderin", "ulcer", "amyloidosis", "aortic",
+             "without", "any", "doubt", "in", "this", "setting", "is", "the", "usual", "explanation"]
+
+    def text(token: str) -> str:
+        return f"Review of {token} follows. " + " ".join(rng.choice(words) for _ in range(rng.randint(40, 60)))
+
+    verdicts = []
+    for i in range(count):
+        correct = i % 5 != 0
+        response = text(f"CASE-R{i:06d}") + " Choice: B" if correct else f"CASE-R{i:06d} favors another. Choice: D"
+        verdicts.append(Verdict(
+            question_id=f"q{i:06d}", quiz_id=f"quiz{i % 16}", domain_tag=["CV", "GI", "NE", "PU", "RE"][i % 5],
+            raw_response=response, extracted_letter="B" if correct else "D", correct_letter="B",
+            is_correct=correct, analysis_text=response if correct else text(f"CASE-X{i:06d}"),
+        ))
+    meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "t", "replay", "0" * 64)
+    return RunTranscript(run=meta, verdicts=tuple(verdicts))
+
+
+class TestTranscriptSharing:
+    """``load_transcript`` keeps one object per distinct response, analysis
+    text, quiz id and tag."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return save_transcript(_replay_shaped(2_000), tmp_path_factory.mktemp("shared") / "transcript.json")
+
+    def test_equal_values_are_one_object(self, path):
+        verdicts = load_transcript(path).verdicts
+        same_text = [v for v in verdicts if v.analysis_text == v.raw_response]
+        assert len(same_text) == 1_600
+        assert all(v.analysis_text is v.raw_response for v in same_text)
+        for name in ("quiz_id", "domain_tag"):
+            values = [getattr(v, name) for v in verdicts]
+            assert len({id(value) for value in values}) == len(set(values))
+
+    def test_memory_kept_after_the_load_is_bounded(self, path):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            transcript = load_transcript(path)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(transcript.verdicts) == 2_000
+        # On this document: 1.18x the file's size when every value is its own
+        # string, 0.71x when equal values are shared.
+        assert kept < 0.9 * path.stat().st_size
+
+
 class TestTranscriptValidation:
     """Every malformed transcript document is a ValueError, never a raw
     TypeError/KeyError or a silently accepted run."""
@@ -425,11 +485,12 @@ def _verdicts(draw):
     extracted letter is the correct one."""
     correct = draw(_TEXT)
     extracted = draw(st.none() | st.just(correct) | _TEXT)
+    response = draw(_TEXT)
     return Verdict(
         question_id=draw(_TEXT), quiz_id=draw(st.sampled_from(["qz1", "qz2", "qz3"])),
-        domain_tag=draw(st.text(min_size=1, max_size=6)), raw_response=draw(_TEXT),
+        domain_tag=draw(st.text(min_size=1, max_size=6)), raw_response=response,
         extracted_letter=extracted, correct_letter=correct, is_correct=extracted == correct,
-        analysis_text=draw(_TEXT), error=draw(st.none() | _TEXT),
+        analysis_text=draw(st.just(response) | _TEXT), error=draw(st.none() | _TEXT),
     )
 
 
@@ -477,11 +538,22 @@ def _not_a_digest(doc, data):
     return "manifest_sha256 is not a sha256 hex digest"
 
 
+def _load_from_file(doc) -> RunTranscript:
+    """``load_transcript`` on ``doc`` written to a temp file (``tmp_path``
+    would be shared by every example of a property)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "transcript.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_transcript(path)
+
+
 class TestTranscriptRoundTrip:
     @settings(deadline=None)
     @given(transcript=_transcripts())
     def test_json_round_trip_is_identity(self, transcript):
-        assert transcript_from_dict(json.loads(json.dumps(transcript_to_dict(transcript)))) == transcript
+        doc = transcript_to_dict(transcript)
+        assert transcript_from_dict(json.loads(json.dumps(doc))) == transcript
+        assert _load_from_file(doc) == transcript
 
     @pytest.mark.parametrize("breakage", [_flip_is_correct, _empty_domain_tag, _wrong_json_type, _tampered_scores,
                                           _not_a_digest])
@@ -490,5 +562,8 @@ class TestTranscriptRoundTrip:
     def test_one_broken_invariant_is_refused(self, breakage, transcript, data):
         doc = json.loads(json.dumps(transcript_to_dict(transcript)))
         message = breakage(doc, data)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as from_dict:
             transcript_from_dict(doc)
+        with pytest.raises(ValueError) as from_file:
+            _load_from_file(doc)
+        assert str(from_file.value) == str(from_dict.value)
