@@ -13,12 +13,10 @@ into errors.
 from __future__ import annotations
 
 import base64
-import http.client
+import functools
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Callable
 
@@ -109,15 +107,23 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
     return b"".join((head, b'{"url": "', url_prefix, base64.b64encode(prompt.image_bytes), b'"}', tail))
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follow no redirect: a followed one would carry the bearer header to
-    wherever ``Location`` points, so every 30x reply is returned as is."""
+@functools.cache
+def _opener():
+    """The opener every default-transport request goes through, built once,
+    on first use: building it imports the HTTP/TLS stack (``urllib.request``,
+    ``http.client``, ``ssl``), which a replay run never loads.
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+    Its default proxy handler reads ``HTTP(S)_PROXY``/``NO_PROXY`` then. It
+    follows no redirect: a followed one would carry the bearer header to
+    wherever ``Location`` points, so every 30x reply is returned as is.
+    """
+    import urllib.request
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
 
-_OPENER = urllib.request.build_opener(_NoRedirect)
+    return urllib.request.build_opener(NoRedirect)
 
 
 def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:
@@ -128,9 +134,12 @@ def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:
     default proxy handler, and TLS is verified with ``ssl``'s default
     context. No redirect is followed: its status is returned.
     """
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        response = _OPENER.open(request, timeout=REQUEST_TIMEOUT_SECONDS)
+        response = _opener().open(request, timeout=REQUEST_TIMEOUT_SECONDS)
     except urllib.error.HTTPError as err:
         with err:
             return err.code, err.read().decode("utf-8", "replace")
@@ -175,6 +184,9 @@ def _execute(
     immediately. A key that an HTTP header cannot carry raises ValueError
     before any attempt, without naming the key.
     """
+    import http.client
+    import urllib.error
+
     # http.client would refuse the header in an error that quotes it.
     if not all("!" <= c <= "~" for c in api_key):
         raise ValueError("the API key holds a character outside visible ASCII, such as a trailing newline")
@@ -251,8 +263,10 @@ def make_live_completion(
     retry policy); the envelope is never mutated.
 
     ``min_interval`` spaces request starts (see ``request_spacer``). Safe
-    for concurrent invocation.
+    for concurrent invocation. The HTTP/TLS stack is loaded here, in the
+    caller's thread, not on a worker's first request.
     """
+    _opener()
     wait_turn = request_spacer(min_interval, sleep=sleep)
 
     def completion(envelope: PromptEnvelope) -> str:

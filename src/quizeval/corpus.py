@@ -71,7 +71,7 @@ class CorpusValidationError(CorpusError):
         super().__init__(f"{len(self.issues)} validation issue(s): {summary}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRef:
     """A question's image: file location, its domain tag (e.g. CV, SKIN) and
     its media type (from ``IMAGE_MEDIA_TYPES``)."""
@@ -81,13 +81,13 @@ class ImageRef:
     media_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Choice:
     letter: str
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """One quiz item: stem, lettered choices, official answer and explanation.
 
@@ -109,14 +109,14 @@ class Question:
         return tuple(c.letter for c in self.choices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quiz:
     id: str
     title: str
     questions: tuple[Question, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuizCorpus:
     """A validated corpus, with the sha256 hex digest of the manifest bytes it
     was validated from."""
@@ -204,7 +204,10 @@ def _corpus_from_dict(doc: dict, base_dir: Path, digest: str) -> QuizCorpus:
     seen_question_ids: set[str] = set()
     seen_quiz_ids: set[str] = set()
     quizzes: list[Quiz] = []
-    for qz in quizzes_raw:
+    for index, qz in enumerate(quizzes_raw):
+        # Each raw quiz is dropped from the document as it is parsed, so the
+        # whole document and the whole corpus are never held at once.
+        quizzes_raw[index] = None
         quiz = _parse_quiz(qz, base_dir, vocabulary, seen_question_ids, seen_quiz_ids, issues)
         if quiz is not None:
             quizzes.append(quiz)

@@ -53,7 +53,7 @@ def extract_choice(response_text: str) -> str | None:
     return letter_match.group(1).upper()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome for one question.
 

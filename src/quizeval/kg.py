@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
-from xml.sax.saxutils import escape, quoteattr
 
 from .ner import EntityRecord
 
@@ -205,6 +204,10 @@ def graph_to_dot(graph: EntityGraph, name: str = "entities") -> str:
 
 def graph_to_graphml(graph: EntityGraph) -> str:
     """GraphML text with the same node/edge attributes as the DOT export."""
+    # Imported here, not with the module: xml.sax.saxutils imports
+    # urllib.request and with it the HTTP/TLS stack, which a replay run never uses.
+    from xml.sax.saxutils import escape, quoteattr
+
     default = "directed" if graph.directed else "undirected"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -688,7 +688,7 @@ def test_unsendable_request_exits_one_before_any_request(command, case, said, an
         opened.append(args)
         raise OSError("no request may be sent")
 
-    monkeypatch.setattr(client._OPENER, "open", refuse)
+    monkeypatch.setattr(client._opener(), "open", refuse)
     # A trailing carriage return, as a key file saved on Windows leaves.
     monkeypatch.setenv("QUIZEVAL_API_KEY", "sk-secret-123\r" if case == "key" else "sk-secret-123")
     endpoint = "http://127.0.0.1:9/v1/chat" + ("/completions" if case == "key" else " completions")
@@ -938,12 +938,16 @@ def test_every_data_file_is_package_data():
 
 _WITHOUT_REQUESTS = """
 import sys
+before = set(sys.modules)
 from quizeval import cli
 assert "requests" not in sys.modules
 sys.modules["requests"] = None  # from here on, `import requests` raises ImportError
 manifest, fixture, out = sys.argv[1:]
-sys.exit(cli.main(["validate", "--manifest", manifest])
-         or cli.main(["run", "--manifest", manifest, "--backend", "replay", "--fixture", fixture, "--out", out]))
+code = (cli.main(["validate", "--manifest", manifest])
+        or cli.main(["run", "--manifest", manifest, "--backend", "replay", "--fixture", fixture, "--out", out]))
+# The HTTP/TLS stack costs about 2.6 MB of RSS, and only a live completion uses it.
+print(sorted({"ssl", "http.client", "urllib.request"} & (sys.modules.keys() - before)))
+sys.exit(code)
 """
 
 
@@ -955,6 +959,7 @@ def test_cli_runs_without_requests(sample_paths, tmp_path):
     assert done.returncode == 0, done.stderr
     assert b"total 66/79" in done.stdout
     assert (tmp_path / "out" / "transcript.json").is_file()
+    assert done.stdout.splitlines()[-1] == b"[]"
 
 
 def test_package_imports_only_the_standard_library():

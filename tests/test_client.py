@@ -433,7 +433,7 @@ class TestDefaultTransport:
     def all_closed(self, monkeypatch):
         # The ResourceWarning of an unclosed response comes, if at all, from
         # the garbage collector at some later point, so check each one here.
-        opened, open_ = [], client._OPENER.open
+        opened, open_ = [], client._opener().open
 
         def recording(*args, **kwargs):
             try:
@@ -443,7 +443,7 @@ class TestDefaultTransport:
                 raise
             return opened[-1]
 
-        monkeypatch.setattr(client._OPENER, "open", recording)
+        monkeypatch.setattr(client._opener(), "open", recording)
         yield
         assert all(response.closed for response in opened)
 

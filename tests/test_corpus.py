@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import shutil
 import tracemalloc
 from collections import Counter
 
@@ -24,6 +25,36 @@ from .conftest import make_manifest, make_question
 
 def issue_kinds(exc: CorpusValidationError) -> set[str]:
     return {issue.kind for issue in exc.issues}
+
+
+def _scaled_sample(sample_paths, tmp_path):
+    """1,975 sample-shaped questions, the sample's 79 in each of 25 quizzes,
+    written as the benchmark writes its manifests (indent 1) beside a copy of
+    the sample's images."""
+    sample = json.loads(sample_paths.manifest.read_text(encoding="utf-8"))
+    questions = [question for quiz in sample["quizzes"] for question in quiz["questions"]]
+    sample["quizzes"] = [
+        {"id": f"quiz{n}", "title": f"Quiz {n}", "questions": [{**q, "id": f"{q['id']}-{n}"} for q in questions]}
+        for n in range(25)
+    ]
+    shutil.copytree(sample_paths.images_dir, tmp_path / sample_paths.images_dir.name)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(sample, indent=1) + "\n", encoding="utf-8")
+    return path
+
+
+def _traced_load(path, monkeypatch):
+    """``load_corpus`` and the bytes tracemalloc counts as kept after it and
+    at its peak. The manifest is loaded by name from its directory, so each
+    image path is as short as the manifest spells it, wherever the test runs."""
+    monkeypatch.chdir(path.parent)
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path.name)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return corpus, kept, peak
 
 
 class TestLoadCorpus:
@@ -150,6 +181,35 @@ class TestLoadCorpus:
             load_corpus(path)
         assert "MalformedManifest" in issue_kinds(excinfo.value)
 
+    def test_the_corpus_keeps_less_than_twice_the_file(self, sample_paths, tmp_path, monkeypatch):
+        path = _scaled_sample(sample_paths, tmp_path)
+        corpus, kept, _ = _traced_load(path, monkeypatch)
+        assert corpus.question_count == 1975
+        # Slotted records: with an instance __dict__ each, the corpus kept 2.17x.
+        assert kept < 1.9 * path.stat().st_size
+
+    def test_the_document_is_released_as_the_corpus_is_built(self, manifest_factory, monkeypatch):
+        # 2,000 questions whose texts are one character long, so the records
+        # outweigh the manifest's text: were the whole document still held
+        # when the corpus is complete, that would set the peak.
+        question = make_question("q", stem="s", explanation="e", image="images/q.png")
+        question["choices"] = [{**choice, "text": "x"} for choice in question["choices"]]
+        path = manifest_factory(make_manifest(
+            {f"quiz{n}": [{**question, "id": f"q{n}-{k}"} for k in range(50)] for n in range(40)}))
+        corpus, _, peak = _traced_load(path, monkeypatch)
+        assert corpus.question_count == 2000
+        # Released, the peak is the text and the document, 6.7x the file;
+        # held whole, the document and the corpus peaked at 8.6x.
+        assert peak < 7.5 * path.stat().st_size
+
+    def test_records_hold_no_instance_dict(self, sample_corpus, sample_transcript):
+        quiz = sample_corpus.quizzes[0]
+        question = quiz.questions[0]
+        records = (sample_corpus, quiz, question, question.choices[0], question.image, sample_transcript.verdicts[0])
+        assert [type(record).__name__ for record in records] == [
+            "QuizCorpus", "Quiz", "Question", "Choice", "ImageRef", "Verdict"]
+        assert [type(record).__name__ for record in records if hasattr(record, "__dict__")] == []
+
     def test_all_issues_reported_together(self, manifest_factory):
         manifest = make_manifest(
             {"qz1": [make_question("q1", correct="F"), make_question("q2", tag="XYZZY")]}
@@ -256,15 +316,7 @@ class TestReadAnswerKey:
                 read(path)
 
     def test_peak_memory_is_about_the_bytes_and_text_of_the_file(self, sample_paths, tmp_path):
-        # 1,975 sample-shaped questions: the sample's 79 in each of 25 quizzes.
-        sample = json.loads(sample_paths.manifest.read_text(encoding="utf-8"))
-        questions = [question for quiz in sample["quizzes"] for question in quiz["questions"]]
-        sample["quizzes"] = [
-            {"id": f"quiz{n}", "title": f"Quiz {n}", "questions": [{**q, "id": f"{q['id']}-{n}"} for q in questions]}
-            for n in range(25)
-        ]
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(sample, indent=1) + "\n", encoding="utf-8")
+        path = _scaled_sample(sample_paths, tmp_path)
         tracemalloc.start()
         try:
             key, _ = read_answer_key(path)

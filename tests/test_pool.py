@@ -67,10 +67,20 @@ def test_first_exception_is_reraised_and_stops_the_workers(parallelism):
     assert [t for t in threading.enumerate() if t.name == "quizeval-worker"] == []
 
 
-def test_interrupt_of_the_caller_stops_the_workers():
+def test_interrupt_of_the_caller_stops_the_workers(monkeypatch):
     interrupted_at, parallelism, calls = 10, 4, []
     main = threading.main_thread().ident
     lock, running = threading.Lock(), [0]
+    stopped = threading.Event()
+
+    class Condition(threading.Condition):
+        # The interrupted caller waits for the calls in flight only after it
+        # has stopped the workers from taking new items.
+        def wait_for(self, predicate, timeout=None):
+            stopped.set()
+            return super().wait_for(predicate, timeout)
+
+    monkeypatch.setattr(pool, "Condition", Condition)
 
     def call(item):
         with lock:
@@ -78,6 +88,10 @@ def test_interrupt_of_the_caller_stops_the_workers():
             running[0] += 1
         if item == interrupted_at:
             signal.pthread_kill(main, signal.SIGINT)
+        elif item > interrupted_at:
+            # However late the caller handles the interrupt, each worker can
+            # take at most one item after the interrupted one.
+            stopped.wait(timeout=60)
         time.sleep(0.005)
         with lock:
             running[0] -= 1
@@ -91,4 +105,5 @@ def test_interrupt_of_the_caller_stops_the_workers():
         assert running == [0]
     finally:
         signal.signal(signal.SIGINT, previous)
+    assert stopped.is_set()
     assert len(calls) <= interrupted_at + parallelism + 1
