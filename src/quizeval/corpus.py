@@ -204,10 +204,7 @@ def _corpus_from_dict(doc: dict, base_dir: Path, digest: str) -> QuizCorpus:
     seen_question_ids: set[str] = set()
     seen_quiz_ids: set[str] = set()
     quizzes: list[Quiz] = []
-    for index, qz in enumerate(quizzes_raw):
-        # Each raw quiz is dropped from the document as it is parsed, so the
-        # whole document and the whole corpus are never held at once.
-        quizzes_raw[index] = None
+    for qz in quizzes_raw:
         quiz = _parse_quiz(qz, base_dir, vocabulary, seen_question_ids, seen_quiz_ids, issues)
         if quiz is not None:
             quizzes.append(quiz)
