@@ -126,15 +126,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _print_corpus_errors(exc: CorpusError) -> None:
-    if isinstance(exc, CorpusValidationError):
-        for issue in exc.issues:
-            print(f"  {issue}", file=sys.stderr)
-        print(f"{len(exc.issues)} errors", file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.manifest)
     print(f"{len(corpus.quizzes)} quizzes, {corpus.question_count} questions, 0 errors")
@@ -303,8 +294,13 @@ def main(argv: list[str] | None = None) -> int:
             ner.LexiconError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except CorpusValidationError as exc:
+        for issue in exc.issues:
+            print(f"  {issue}", file=sys.stderr)
+        print(f"{len(exc.issues)} errors", file=sys.stderr)
+        return EXIT_CONFIG
     except CorpusError as exc:
-        _print_corpus_errors(exc)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (client.ClientError, OSError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

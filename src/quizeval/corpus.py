@@ -16,10 +16,11 @@ A corpus lives in a single JSON manifest:
       ]
     }
 
-Image paths are resolved relative to the manifest's directory and must point
-at readable JPEG or PNG files. Every question carries exactly one domain tag
-drawn from the corpus-declared vocabulary. Loaded corpora are immutable and
-safe to share across threads.
+Image paths are resolved against the manifest's directory and kept as
+strings (``os.path.join``); each must name a readable JPEG or PNG file.
+Every question carries exactly one domain tag drawn from the
+corpus-declared vocabulary. Loaded corpora are immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ class CorpusValidationError(CorpusError):
 
 @dataclass(frozen=True, slots=True)
 class ImageRef:
-    """A question's image: file location, its domain tag (e.g. CV, SKIN) and
-    its media type (from ``IMAGE_MEDIA_TYPES``)."""
+    """A question's image: its file path, a ``str`` resolved against the
+    manifest's directory, its domain tag (e.g. CV, SKIN) and its media type
+    (from ``IMAGE_MEDIA_TYPES``)."""
 
-    path: Path
+    path: str
     domain_tag: str
     media_type: str
 
@@ -140,9 +142,31 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     Raises MalformedManifestError when the file cannot be parsed at all, and
     CorpusValidationError carrying every issue found otherwise.
     """
-    manifest_path = Path(manifest_path)
     doc, digest = _read_manifest(manifest_path)
-    return _corpus_from_dict(doc, base_dir=manifest_path.parent, digest=digest)
+    issues: list[ValidationIssue] = []
+
+    vocab_raw = doc.get("tag_vocabulary")
+    # Tags reach the CSV, DOT and GraphML outputs, which are UTF-8.
+    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) and t and is_utf8(t) for t in vocab_raw):
+        raise MalformedManifestError("tag_vocabulary must be an array of non-empty UTF-8 strings")
+    vocabulary = frozenset(vocab_raw)
+
+    quizzes_raw = doc.get("quizzes")
+    if not isinstance(quizzes_raw, list):
+        raise MalformedManifestError("quizzes must be an array")
+
+    base_dir = os.path.dirname(manifest_path)
+    seen_question_ids: set[str] = set()
+    seen_quiz_ids: set[str] = set()
+    quizzes: list[Quiz] = []
+    for qz in quizzes_raw:
+        quiz = _parse_quiz(qz, base_dir, vocabulary, seen_question_ids, seen_quiz_ids, issues)
+        if quiz is not None:
+            quizzes.append(quiz)
+
+    if issues:
+        raise CorpusValidationError(issues)
+    return QuizCorpus(quizzes=tuple(quizzes), tag_vocabulary=vocabulary, manifest_sha256=digest)
 
 
 # What a verdict must agree on with its question: (quiz id, correct letter, domain tag).
@@ -188,35 +212,9 @@ def _read_manifest(manifest_path: str | Path, **loads_kwargs) -> tuple[dict, str
     return doc, digest
 
 
-def _corpus_from_dict(doc: dict, base_dir: Path, digest: str) -> QuizCorpus:
-    issues: list[ValidationIssue] = []
-
-    vocab_raw = doc.get("tag_vocabulary")
-    # Tags reach the CSV, DOT and GraphML outputs, which are UTF-8.
-    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) and t and is_utf8(t) for t in vocab_raw):
-        raise MalformedManifestError("tag_vocabulary must be an array of non-empty UTF-8 strings")
-    vocabulary = frozenset(vocab_raw)
-
-    quizzes_raw = doc.get("quizzes")
-    if not isinstance(quizzes_raw, list):
-        raise MalformedManifestError("quizzes must be an array")
-
-    seen_question_ids: set[str] = set()
-    seen_quiz_ids: set[str] = set()
-    quizzes: list[Quiz] = []
-    for qz in quizzes_raw:
-        quiz = _parse_quiz(qz, base_dir, vocabulary, seen_question_ids, seen_quiz_ids, issues)
-        if quiz is not None:
-            quizzes.append(quiz)
-
-    if issues:
-        raise CorpusValidationError(issues)
-    return QuizCorpus(quizzes=tuple(quizzes), tag_vocabulary=vocabulary, manifest_sha256=digest)
-
-
 def _parse_quiz(
     qz: object,
-    base_dir: Path,
+    base_dir: str,
     vocabulary: frozenset[str],
     seen_question_ids: set[str],
     seen_quiz_ids: set[str],
@@ -256,7 +254,7 @@ def _parse_quiz(
 def _parse_question(
     entry: object,
     quiz_id: str,
-    base_dir: Path,
+    base_dir: str,
     vocabulary: frozenset[str],
     seen_question_ids: set[str],
     issues: list[ValidationIssue],
@@ -346,7 +344,7 @@ def _parse_choices(raw: object, qid: str, issues: list[ValidationIssue]) -> tupl
 
 
 def _parse_image(
-    raw: object, qid: str, base_dir: Path, vocabulary: frozenset[str], issues: list[ValidationIssue]
+    raw: object, qid: str, base_dir: str, vocabulary: frozenset[str], issues: list[ValidationIssue]
 ) -> ImageRef | None:
     if not isinstance(raw, dict) or not isinstance(raw.get("path"), str) or not isinstance(raw.get("domain_tag"), str):
         issues.append(ValidationIssue("MalformedManifest", f"question {qid}: image needs path and domain_tag"))
@@ -356,16 +354,15 @@ def _parse_image(
     if tag not in vocabulary:
         issues.append(ValidationIssue("UnknownTag", f"question {qid}: tag {tag!r} is not in the tag vocabulary"))
         ok = False
-    rel = Path(raw["path"])
-    path = rel if rel.is_absolute() else base_dir / rel
-    media_type = IMAGE_MEDIA_TYPES.get(path.suffix.lower())
+    path = os.path.join(base_dir, raw["path"])
+    media_type = IMAGE_MEDIA_TYPES.get(os.path.splitext(path)[1].lower())
     if media_type is None:
-        issues.append(
-            ValidationIssue("MalformedManifest", f"question {qid}: image {path.name!r} is not a JPEG or PNG file")
-        )
+        name = os.path.basename(path)
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: image {name!r} is not a JPEG or PNG file"))
         ok = False
-    if not path.is_file() or not os.access(path, os.R_OK):
-        issues.append(ValidationIssue("MissingImage", f"question {qid}: image file {str(path)!r} is not readable"))
+    # False, not an error, for a name the file system refuses, such as one too long.
+    if not os.path.isfile(path) or not os.access(path, os.R_OK):
+        issues.append(ValidationIssue("MissingImage", f"question {qid}: image file {path!r} is not readable"))
         ok = False
     if not ok:
         return None

@@ -116,18 +116,13 @@ def density(graph: EntityGraph) -> float:
     return len(graph.edges) / possible
 
 
-def _adjacency(graph: EntityGraph) -> dict[str, set[str]]:
+def connected_components(graph: EntityGraph) -> list[frozenset[str]]:
+    """Maximal sets of nodes joined by paths (edge direction ignored),
+    ordered by each component's smallest member."""
     adj: dict[str, set[str]] = {node: set() for node in graph.nodes}
     for a, b in graph.edges:
         adj[a].add(b)
         adj[b].add(a)
-    return adj
-
-
-def connected_components(graph: EntityGraph) -> list[frozenset[str]]:
-    """Maximal sets of nodes joined by paths (edge direction ignored),
-    ordered by each component's smallest member."""
-    adj = _adjacency(graph)
     seen: set[str] = set()
     components: list[frozenset[str]] = []
     for start in sorted(graph.nodes):
@@ -202,12 +197,19 @@ def graph_to_dot(graph: EntityGraph, name: str = "entities") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_attr(value: str) -> str:
+    """``value`` escaped and in double quotes. Line breaks and tabs become
+    character references, which an XML parser does not normalise away."""
+    escaped = _xml_text(value).replace('"', "&quot;").replace("\n", "&#10;").replace("\r", "&#13;")
+    return '"' + escaped.replace("\t", "&#9;") + '"'
+
+
 def graph_to_graphml(graph: EntityGraph) -> str:
     """GraphML text with the same node/edge attributes as the DOT export."""
-    # Imported here, not with the module: xml.sax.saxutils imports
-    # urllib.request and with it the HTTP/TLS stack, which a replay run never uses.
-    from xml.sax.saxutils import escape, quoteattr
-
     default = "directed" if graph.directed else "undirected"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -220,19 +222,19 @@ def graph_to_graphml(graph: EntityGraph) -> str:
         entity_type = graph.node_types.get(node)
         if entity_type:
             lines.append(
-                f"    <node id={quoteattr(node)}><data key=\"d0\">{escape(entity_type)}</data></node>"
+                f"    <node id={_xml_attr(node)}><data key=\"d0\">{_xml_text(entity_type)}</data></node>"
             )
         else:
-            lines.append(f"    <node id={quoteattr(node)}/>")
+            lines.append(f"    <node id={_xml_attr(node)}/>")
     for a, b in sorted(graph.edges):
         count = graph.edge_counts.get((a, b))
         if count is not None:
             lines.append(
-                f"    <edge source={quoteattr(a)} target={quoteattr(b)}>"
+                f"    <edge source={_xml_attr(a)} target={_xml_attr(b)}>"
                 f'<data key="d1">{count}</data></edge>'
             )
         else:
-            lines.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}/>")
+            lines.append(f"    <edge source={_xml_attr(a)} target={_xml_attr(b)}/>")
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"

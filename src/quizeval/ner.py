@@ -176,26 +176,6 @@ class LlmExtractor:
         return found
 
 
-def extract_entities(
-    text: str, group: int, from_correct: bool, extractor: Extractor
-) -> list[EntityRecord]:
-    """Extract records from one analysis text, deduplicated per
-    (type, name, group) in first-occurrence order."""
-    if not text or not text.strip():
-        return []
-    seen: set[tuple[str, str]] = set()
-    records: list[EntityRecord] = []
-    for entity_type, name in extractor.extract(text):
-        key = (entity_type, name)
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(
-            EntityRecord(entity_type=entity_type, entity_name=name, group=group, from_correct=from_correct)
-        )
-    return records
-
-
 def extract_from_transcript(transcript, extractor: Extractor, parallelism: int = 1) -> list[EntityRecord]:
     """Run extraction over every verdict's analysis text, on up to
     ``parallelism`` worker threads (see ``pool.ordered_map``).
@@ -203,13 +183,18 @@ def extract_from_transcript(transcript, extractor: Extractor, parallelism: int =
     Group ids are verdict ordinals, and each record's from_correct equals
     its verdict's correctness, so correct-branch records derive only from
     model responses and incorrect-branch records only from official
-    explanations. Records come in verdict order at any ``parallelism``.
+    explanations. Records are deduplicated per (type, name, group) in
+    first-occurrence order, and come in verdict order at any
+    ``parallelism``. A blank analysis text is not passed to the extractor.
     """
     verdicts = transcript.verdicts
 
     def extract_one(ordinal: int) -> list[EntityRecord]:
         verdict = verdicts[ordinal]
-        return extract_entities(verdict.analysis_text, ordinal, verdict.is_correct, extractor)
+        if not verdict.analysis_text.strip():
+            return []
+        found = dict.fromkeys(extractor.extract(verdict.analysis_text))
+        return [EntityRecord(entity_type, name, ordinal, verdict.is_correct) for entity_type, name in found]
 
     groups = ordered_map(extract_one, range(len(verdicts)), parallelism)
     return [record for group in groups for record in group]

@@ -95,25 +95,22 @@ class PromptEnvelope:
         return "\n\n".join((self.rules_text, self.stem, self.choices_text))
 
 
-def render_choices(question: Question) -> str:
-    """One '<letter>. <text>' line per choice, in letter order."""
-    return "\n".join(f"{c.letter}. {c.text}" for c in question.choices)
-
-
 def build_prompt(question: Question, rules: RulesOfConduct) -> PromptEnvelope:
     """Assemble the payload for one question, reading its image from disk.
+    The choices are one '<letter>. <text>' line each, in letter order.
 
     Deterministic: identical inputs yield an identical envelope.
     """
     try:
-        image_bytes = question.image.path.read_bytes()
+        with open(question.image.path, "rb") as image:
+            image_bytes = image.read()
     except OSError as exc:
         raise ImageReadError(f"cannot read image {question.image.path}: {exc}") from exc
     return PromptEnvelope(
         question_id=question.id,
         rules_text=rules.instruction_text,
         stem=question.stem,
-        choices_text=render_choices(question),
+        choices_text="\n".join(f"{c.letter}. {c.text}" for c in question.choices),
         image_bytes=image_bytes,
         image_media_type=question.image.media_type,
     )

@@ -6,8 +6,9 @@ plain edge scan, gazetteer matches from exhaustive span enumeration,
 request bodies from one ``json.dumps`` of the whole payload, the answer
 letter from a left-to-right scan over every marker occurrence, the answer
 key from a full ``json.loads`` of the manifest and a walk that checks each
-member before reading it, and a CSV table from one ``writerows`` of the whole
-table written at once. Only the package's exception classes are shared.
+member before reading it, a CSV table from one ``writerows`` of the whole
+table written at once, and GraphML escaped by ``xml.sax.saxutils``. Only the
+package's exception classes are shared.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import re
 from itertools import combinations
 from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 from quizeval.corpus import MalformedManifestError
 
@@ -159,3 +161,24 @@ def bf_write_csv(path: str | Path, header: list[str], rows) -> Path:
     writer.writerows(rows)
     Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
     return Path(path)
+
+
+def bf_graph_to_graphml(nodes: dict[str, str], edges: dict[tuple[str, str], int]) -> str:
+    """The GraphML text of an undirected graph (node name -> entity type,
+    canonical edge -> count), with ``xml.sax.saxutils`` escaping every name
+    and type."""
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="d0" for="node" attr.name="entity_type" attr.type="string"/>',
+        '  <key id="d1" for="edge" attr.name="count" attr.type="int"/>',
+        '  <graph id="G" edgedefault="undirected">',
+    ]
+    for name in sorted(nodes):
+        if nodes[name]:
+            lines.append(f'    <node id={quoteattr(name)}><data key="d0">{escape(nodes[name])}</data></node>')
+        else:
+            lines.append(f"    <node id={quoteattr(name)}/>")
+    for (a, b), count in sorted(edges.items()):
+        lines.append(f'    <edge source={quoteattr(a)} target={quoteattr(b)}><data key="d1">{count}</data></edge>')
+    return "\n".join([*lines, "  </graph>", "</graphml>"]) + "\n"

@@ -21,7 +21,7 @@ from quizeval import cli, client, corpus, pool, sampledata
 from quizeval.cli import main
 from quizeval.evaluator import load_transcript, save_transcript, transcript_to_dict
 
-from .conftest import child_env, fake_entity_reply, make_manifest, make_question
+from .conftest import TINY_PNG, child_env, fake_entity_reply, make_manifest, make_question
 
 
 def run_cli(*argv: str) -> int:
@@ -46,6 +46,24 @@ class TestValidate:
         assert code == 1
         err = capsys.readouterr().err
         assert "MissingImage" in err and "1 errors" in err
+
+    def test_overlong_image_name_is_listed_with_the_other_issues(self, manifest_factory, capsys):
+        # A file name over 255 bytes makes the file system refuse the path
+        # (ENAMETOOLONG); it is one more missing image, not a runtime error.
+        manifest = make_manifest({"qz1": [
+            make_question("q1", image="images/" + "x" * 300 + ".png"),
+            make_question("q2", tag="XYZZY"),
+            make_question("q3", correct="F"),
+        ]})
+        path = manifest_factory(manifest, create_images=False)
+        (path.parent / "images").mkdir()
+        for qid in ("q2", "q3"):
+            (path.parent / "images" / f"{qid}.png").write_bytes(TINY_PNG)
+        assert run_cli("validate", "--manifest", str(path)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        kinds = [line.split(":")[0].strip() for line in lines]
+        assert kinds == ["MissingImage", "UnknownTag", "InvalidCorrectLetter", "3 errors"]
+        assert lines[0].startswith("  MissingImage: question q1: image file ")
 
     def test_unparseable_manifest(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -944,8 +962,11 @@ assert "requests" not in sys.modules
 sys.modules["requests"] = None  # from here on, `import requests` raises ImportError
 manifest, fixture, out = sys.argv[1:]
 code = (cli.main(["validate", "--manifest", manifest])
-        or cli.main(["run", "--manifest", manifest, "--backend", "replay", "--fixture", fixture, "--out", out]))
-# The HTTP/TLS stack costs about 2.6 MB of RSS, and only a live completion uses it.
+        or cli.main(["run", "--manifest", manifest, "--backend", "replay", "--fixture", fixture, "--out", out])
+        or cli.main(["analyze", "--transcript", f"{out}/transcript.json", "--manifest", manifest,
+                     "--extractor", "gazetteer", "--out", out]))
+# The HTTP/TLS stack costs about 2.6 MB of RSS, and only a live completion or
+# an LLM extraction uses it.
 print(sorted({"ssl", "http.client", "urllib.request"} & (sys.modules.keys() - before)))
 sys.exit(code)
 """
@@ -959,6 +980,8 @@ def test_cli_runs_without_requests(sample_paths, tmp_path):
     assert done.returncode == 0, done.stderr
     assert b"total 66/79" in done.stdout
     assert (tmp_path / "out" / "transcript.json").is_file()
+    assert b"analyzed 79 verdicts: 66 correct" in done.stdout
+    assert (tmp_path / "out" / "correct_graph.graphml").is_file()
     assert done.stdout.splitlines()[-1] == b"[]"
 
 

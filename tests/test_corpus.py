@@ -167,21 +167,22 @@ class TestLoadCorpus:
             load_corpus(path)
         assert "MalformedManifest" in issue_kinds(excinfo.value)
 
-    def test_the_corpus_keeps_less_than_twice_the_file(self, sample_paths, tmp_path):
+    def test_the_corpus_keeps_less_than_twice_the_file(self, sample_paths, tmp_path, monkeypatch):
         path = _scaled_sample(sample_paths, tmp_path)
+        # Loaded by a relative path, so the length of the test's directory
+        # does not enter the image paths the corpus keeps.
+        monkeypatch.chdir(tmp_path)
         tracemalloc.start()
         try:
-            corpus = load_corpus(path)
+            corpus = load_corpus(path.name)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
         assert corpus.question_count == 1975
-        # The image paths' pathlib objects are left out: their size depends on
-        # the interpreter's pathlib and on the length of the test's directory.
-        kept = sum(trace.size for trace in snapshot.filter_traces([tracemalloc.Filter(False, "*pathlib*")]).traces)
-        # Slotted records keep 1.56-1.59x on Python 3.10-3.13; with an
-        # instance __dict__ each, the corpus kept 1.83-2.40x.
-        assert kept < 1.7 * path.stat().st_size
+        kept = sum(trace.size for trace in snapshot.traces)
+        # Everything kept: 1.56-1.66x on Python 3.10-3.13 with str image
+        # paths; with a pathlib.Path per image, 1.84-1.93x.
+        assert kept < 1.75 * path.stat().st_size
 
     def test_records_hold_no_instance_dict(self, sample_corpus, sample_transcript):
         quiz = sample_corpus.quizzes[0]

@@ -217,7 +217,7 @@ class TestRunLoop:
         paths = materialize_sample(tmp_path / "sample")
         corpus = load_corpus(paths.manifest)
         position = 10
-        list(corpus.iter_questions())[position].image.path.unlink()
+        Path(list(corpus.iter_questions())[position].image.path).unlink()
         replay = open_replay(paths.fixture)
         calls = []
 

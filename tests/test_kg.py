@@ -22,7 +22,7 @@ from quizeval.kg import (
 )
 from quizeval.ner import EntityRecord
 
-from .bruteforce import bf_clique_edges, bf_component_count, bf_degrees, bf_density
+from .bruteforce import bf_clique_edges, bf_component_count, bf_degrees, bf_density, bf_graph_to_graphml
 
 
 def record(name: str, group: int, entity_type: str = "CONDITION", ok: bool = False) -> EntityRecord:
@@ -234,6 +234,10 @@ def test_edge_addition_monotonicity(n, _rng):
     assert density(grown) >= density(graph)
 
 
+# Text an XML document can hold, with the characters GraphML escapes made likely.
+XML_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Cn")) | st.sampled_from("&<>\"'\n\r\t"), max_size=6)
+
+
 class TestExports:
     def triangle(self) -> EntityGraph:
         return build_graph([record("alpha", 0, "ORGAN"), record("beta", 0, "DISEASE"),
@@ -269,6 +273,25 @@ class TestExports:
         types = {n.get("id"): n.find(f"{ns}data").text for n in nodes}
         assert types == {"alpha": "ORGAN", "beta": "DISEASE", "gamma": "CONDITION"}
         assert all(e.find(f"{ns}data").text == "1" for e in edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(XML_TEXT, XML_TEXT, st.integers(0, 3)), max_size=10))
+    def test_graphml_matches_saxutils_and_parses_back(self, rows):
+        graph = build_graph([record(name, group, entity_type) for entity_type, name, group in rows])
+        text = graph_to_graphml(graph)
+        if not any('"' in name for name in graph.nodes):
+            assert text == bf_graph_to_graphml(dict(graph.node_types), dict(graph.edge_counts))
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        graph_el = ET.fromstring(text).find(f"{ns}graph")
+        types = {}
+        for node in graph_el.findall(f"{ns}node"):
+            data = node.find(f"{ns}data")
+            types[node.get("id")] = "" if data is None else data.text or ""
+        # A parser reads a raw carriage return in text as a newline; in an
+        # attribute it is written as &#13; and read back as itself.
+        assert types == {name: t.replace("\r\n", "\n").replace("\r", "\n") for name, t in graph.node_types.items()}
+        edges = graph_el.findall(f"{ns}edge")
+        assert {(e.get("source"), e.get("target")): int(e.find(f"{ns}data").text) for e in edges} == graph.edge_counts
 
 
 class TestOracleSuite:

@@ -15,7 +15,6 @@ from quizeval.ner import (
     LexiconError,
     LlmExtractor,
     entity_frequencies,
-    extract_entities,
     extract_from_transcript,
     load_default_lexicon,
     normalize_name,
@@ -90,17 +89,35 @@ class TestGazetteer:
         assert GAZETTEER.extract(text) == GAZETTEER.extract(text)
 
 
+def text_at(text: str, ordinal: int, is_correct: bool) -> RunTranscript:
+    """A transcript whose one non-blank analysis text is ``text``, on the
+    verdict at ``ordinal``; the verdicts before it have blank texts."""
+    meta = RunMetadata("m", 10, "https://example.test/x", None, "r Correct Choice:", "ts", "replay", "0" * 64)
+    letter = "A" if is_correct else "B"
+    verdicts = [Verdict(f"q{i}", "qz", "CV", "", None, "A", False, "", "ParseFailure") for i in range(ordinal)]
+    verdicts.append(Verdict(f"q{ordinal}", "qz", "CV", "Correct Choice:" + letter, letter, "A", is_correct, text))
+    return RunTranscript(run=meta, verdicts=tuple(verdicts))
+
+
 class TestExtractEntities:
     def test_empty_text(self):
-        assert extract_entities("", 0, True, GAZETTEER) == []
-        assert extract_entities("   ", 0, True, GAZETTEER) == []
+        seen = []
+
+        class Recording:
+            def extract(self, text):
+                seen.append(text)
+                return GAZETTEER.extract(text)
+
+        assert extract_from_transcript(text_at("", 0, True), Recording()) == []
+        assert extract_from_transcript(text_at("   ", 0, True), Recording()) == []
+        assert seen == []
 
     def test_dedup_within_group(self):
-        records = extract_entities("aneurysm, then another aneurysm", 3, False, GAZETTEER)
+        records = extract_from_transcript(text_at("aneurysm, then another aneurysm", 3, False), GAZETTEER)
         assert records == [EntityRecord("CONDITION", "Aneurysm", 3, False)]
 
     def test_group_and_flag_attached(self):
-        records = extract_entities("dissection of the heart", 7, True, GAZETTEER)
+        records = extract_from_transcript(text_at("dissection of the heart", 7, True), GAZETTEER)
         assert all(r.group == 7 and r.from_correct for r in records)
         assert {r.entity_name for r in records} == {"Dissection", "Heart"}
 

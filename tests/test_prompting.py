@@ -33,7 +33,7 @@ def hand_question(image_path: Path, n_choices: int = 1) -> Question:
         choices=tuple(Choice(letter, f"Option {letter}") for letter in letters),
         correct_letter="A",
         explanation="Reason.",
-        image=ImageRef(path=image_path, domain_tag="CV", media_type="image/png"),
+        image=ImageRef(path=str(image_path), domain_tag="CV", media_type="image/png"),
     )
 
 
@@ -54,7 +54,7 @@ class TestBuildPrompt:
 
     def test_image_bytes_match_disk(self, question):
         envelope = build_prompt(question, RulesOfConduct())
-        assert envelope.image_bytes == question.image.path.read_bytes()
+        assert envelope.image_bytes == Path(question.image.path).read_bytes()
         assert envelope.image_media_type == "image/png"
 
     def test_single_choice_question(self, tmp_path):

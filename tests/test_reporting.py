@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import quizeval
 from quizeval.evaluator import RunMetadata, RunTranscript, Verdict
 from quizeval.ima import analyze_images
 from quizeval.kg import build_graph, compute_metrics
@@ -261,14 +263,32 @@ class TestExport:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+def _library_use_block() -> str:
+    """The code of README's "Library use" block."""
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+    return block.group(1)
+
+
 def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
     """README's "Library use" block, run unchanged against the bundled sample,
     so the documented API cannot drift from the code."""
-    block = re.search(r"^## Library use\n\n```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
     materialize_sample(tmp_path / "sample")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
-    exec(compile(block.group(1), str(README), "exec"), namespace)
+    exec(compile(_library_use_block(), str(README), "exec"), namespace)
     assert capsys.readouterr().out == "0.8354\n"
     written = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert written == namespace["report"].document
+
+
+def test_readme_library_use_imports_exactly_the_package_surface():
+    """The names the "Library use" block imports from quizeval are
+    ``quizeval.__all__``, and each resolves, so the documented surface and
+    the exported one cannot drift apart."""
+    imports = [node for node in ast.walk(ast.parse(_library_use_block()))
+               if isinstance(node, ast.ImportFrom) and node.module == "quizeval"]
+    assert len(imports) == 1
+    names = [alias.name for alias in imports[0].names]
+    assert set(names) == set(quizeval.__all__)
+    assert len(names) == len(set(names)) and len(quizeval.__all__) == len(set(quizeval.__all__))
+    assert all(hasattr(quizeval, name) for name in names)
