@@ -1,10 +1,11 @@
 """Input and output files. Every input file quizeval reads goes through
 ``read_text``, ``read_json`` or ``read_json_and_digest``, which turn a file
-the user got wrong into the caller's own error naming the file. Every text
-file quizeval produces goes through ``write_atomic``: its two JSON
-documents, transcript.json and report.json, through ``write_json`` on top of
-it, and its CSV tables through ``write_csv``. The sample's PNG images are
-bytes and are written before the manifest that names them."""
+the user got wrong into the caller's own error naming the file. Each reads
+the bytes into an anonymous memory mapping, hashes and decodes them there
+(holding the mapping and the text) and unmaps it before the parse (holding
+only the text). Every text file quizeval produces goes through
+``write_atomic``: transcript.json and report.json through ``write_json``,
+CSV tables through ``write_csv``. The sample's PNG images are bytes."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import hashlib
 import io
 import itertools
 import json
+import mmap
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -38,10 +40,26 @@ def _loads(text: str, path: str | Path, error: type[Exception], what: str, **loa
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def _read(path: str | Path, error: type[Exception], what: str, digest: bool) -> tuple[str, str | None]:
+    """The file's UTF-8 text, newlines translated by text mode's one-scan
+    decoder (``str.replace`` is slow), or else as decoded and with the sha256
+    hex digest of its bytes. The mapping is anonymous: a file-backed one would
+    raise SIGBUS if the file were truncated under it. A read that fills its
+    spare byte (a pipe, a file that grew) appends the rest as ``bytes``."""
+    with _reading(path, error, what), Path(path).open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        with mmap.mmap(-1, size + 1) as mapping:
+            count = handle.readinto(mapping)
+            with memoryview(mapping)[:count] as view:
+                data = view if count <= size else view.tobytes() + handle.read()
+                sha256 = hashlib.sha256(data).hexdigest() if digest else None
+                text = str(data, "utf-8")
+    return (text if digest else io.IncrementalNewlineDecoder(None, True).decode(text, True)), sha256
+
+
 def read_text(path: str | Path, error: type[Exception], what: str) -> str:
     """Read ``path`` as UTF-8 text, with universal newlines."""
-    with _reading(path, error, what):
-        return Path(path).read_text(encoding="utf-8")
+    return _read(path, error, what, digest=False)[0]
 
 
 def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwargs):
@@ -50,15 +68,12 @@ def read_json(path: str | Path, error: type[Exception], what: str, **loads_kwarg
 
 
 def read_json_and_digest(path: str | Path, error: type[Exception], what: str, **loads_kwargs) -> tuple[object, str]:
-    """``read_json``, and the sha256 hex digest of the file's bytes. The file
-    is read once, so the digest is of exactly the document returned. The raw
-    bytes are hashed, so the text is never encoded again; until the parse the
-    bytes and the text are both held, about twice the file's size."""
-    with _reading(path, error, what):
-        data = Path(path).read_bytes()
-        text = data.decode("utf-8")
-    digest = hashlib.sha256(data).hexdigest()
-    del data  # parse without the raw bytes alive
+    """``json.loads`` of the file's UTF-8 text, without newline translation,
+    and the sha256 hex digest of its bytes. The file is read once, so the
+    digest is of exactly the document returned. The raw bytes are hashed
+    and decoded in their mapping, and only the text is held when it is
+    parsed."""
+    text, digest = _read(path, error, what, digest=True)
     return _loads(text, path, error, what, **loads_kwargs), digest
 
 

@@ -6,8 +6,9 @@ plain edge scan, gazetteer matches from exhaustive span enumeration,
 request bodies from one ``json.dumps`` of the whole payload, the answer
 letter from a left-to-right scan over every marker occurrence, the answer
 key from a full ``json.loads`` of the manifest and a walk that checks each
-member before reading it, a CSV table from one ``writerows`` of the whole
-table written at once, and GraphML escaped by ``xml.sax.saxutils``. Only the
+member before reading it, an input file from one ``Path.read_text`` or
+``Path.read_bytes``, a CSV table from one ``writerows`` of the whole table
+written at once, and GraphML escaped by ``xml.sax.saxutils``. Only the
 package's exception classes are shared.
 """
 
@@ -150,6 +151,38 @@ def bf_read_answer_key(path: str | Path) -> tuple[dict[str, tuple[str, str, str]
                 member(quiz, "id", str), member(question, "correct_letter", str), member(image, "domain_tag", str)
             )
     return key, hashlib.sha256(data).hexdigest()
+
+
+def _bf_loads(text: str, path, error: type[Exception], what: str, **loads_kwargs):
+    try:
+        return json.loads(text, **loads_kwargs)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def bf_read_text(path: str | Path, error: type[Exception], what: str) -> str:
+    """``Path.read_text`` as UTF-8, with universal newlines; a file that is
+    missing, unreadable or not UTF-8 raises ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def bf_read_json(path: str | Path, error: type[Exception], what: str, **loads_kwargs):
+    """``bf_read_text``, then ``json.loads``."""
+    return _bf_loads(bf_read_text(path, error, what), path, error, what, **loads_kwargs)
+
+
+def bf_read_json_and_digest(path: str | Path, error: type[Exception], what: str, **loads_kwargs) -> tuple[object, str]:
+    """``json.loads`` of the whole file's bytes decoded as UTF-8, without
+    newline translation, and the sha256 hex digest of those bytes."""
+    try:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    return _bf_loads(text, path, error, what, **loads_kwargs), hashlib.sha256(data).hexdigest()
 
 
 def bf_write_csv(path: str | Path, header: list[str], rows) -> Path:

@@ -1,17 +1,101 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
+import os
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quizeval.atomic import write_atomic, write_csv, write_json
+from quizeval.atomic import read_json, read_json_and_digest, read_text, write_atomic, write_csv, write_json
 
-from .bruteforce import bf_write_csv
+from .bruteforce import bf_read_json, bf_read_json_and_digest, bf_read_text, bf_write_csv
+
+READERS = [(read_text, bf_read_text), (read_json, bf_read_json), (read_json_and_digest, bf_read_json_and_digest)]
+
+
+def outcome(read, path):
+    """What ``read`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", read(path, ValueError, "input")
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+# JSON pieces beside both line breaks, a UTF-8 BOM, invalid UTF-8 (a stray
+# byte, a cut sequence, an encoded surrogate) and a JSON surrogate escape.
+FRAGMENTS = [b"{", b"}", b"[", b"]", b":", b",", b" ", b"1", b"-2.5e3", b"null", b'"a"', '"é€😀"'.encode(),
+             b'{"a": [1, true]}', b"\n", b"\r\n", b"\r", b"\xef\xbb\xbf", b"\xff", b"\xe2\x82", b"\xed\xa0\x80",
+             b'"\\ud800"']
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.lists(st.sampled_from(FRAGMENTS), max_size=12).map(b"".join))
+def test_readers_agree_with_whole_file_reads(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read") / "input.json"
+    path.write_bytes(data)
+    for read, oracle in READERS:
+        assert outcome(read, path) == outcome(oracle, path)
+
+
+def test_a_missing_path_or_a_directory_raises_the_oracles_error(tmp_path):
+    for read, oracle in READERS:
+        assert outcome(read, tmp_path / "absent.json") == outcome(oracle, tmp_path / "absent.json")
+        assert outcome(read, str(tmp_path)) == outcome(oracle, str(tmp_path))
+
+
+def read_from_fifo(tmp_path, read, data: bytes):
+    fifo = tmp_path / "input.json"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return read(fifo, ValueError, "input")
+    finally:
+        writer.join(timeout=10)
+
+
+# More than a pipe holds at once (64 KB on Linux), with both line breaks.
+PIPED = {"verdicts": [{"id": f"q{i}", "text": "é" * 40} for i in range(2_000)]}
+PIPED_BYTES = json.dumps(PIPED, indent=1).replace("\n", "\r\n").encode()
+
+
+def test_read_json_reads_a_fifo_whole(tmp_path):
+    assert read_from_fifo(tmp_path, read_json, PIPED_BYTES) == PIPED
+
+
+def test_read_json_and_digest_reads_a_fifo_whole(tmp_path):
+    expected = (PIPED, hashlib.sha256(PIPED_BYTES).hexdigest())
+    assert read_from_fifo(tmp_path, read_json_and_digest, PIPED_BYTES) == expected
+
+
+@pytest.mark.parametrize("skew", [-(10**9), -4097, -1, 1, 4097])
+def test_a_file_whose_fstat_size_is_wrong_is_read_whole(tmp_path, monkeypatch, skew):
+    path = tmp_path / "input.json"
+    path.write_bytes(PIPED_BYTES)
+    expected = [outcome(oracle, path) for _, oracle in READERS]
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=max(0, real_fstat(fd).st_size + skew)))
+    assert [outcome(read, path) for read, _ in READERS] == expected
+
+
+@pytest.mark.parametrize("read", [read_text, read_json, read_json_and_digest])
+def test_readers_hold_the_text_but_not_the_bytes(tmp_path, read):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"1" + b" " * 4_000_000)
+    tracemalloc.start()
+    try:
+        read(path, ValueError, "input")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * path.stat().st_size  # 2.0x when the raw bytes are read onto the heap
 
 
 def test_failed_write_leaves_no_temp_file_and_the_old_file_intact(tmp_path):

@@ -514,6 +514,14 @@ class TestAnalyze:
         assert code == 1
         assert "error: ValueError: cannot read transcript" in capsys.readouterr().err
 
+    def test_empty_transcript_exits_one(self, sample_paths, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_bytes(b"")
+        code = run_cli("analyze", "--transcript", str(empty),
+                       "--manifest", str(sample_paths.manifest), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert f"error: ValueError: transcript {empty} is not valid JSON" in capsys.readouterr().err
+
     def test_all_correct_transcript_degenerate_branch(self, manifest_factory, tmp_path, capsys):
         questions = [make_question(f"q{i}", correct="A") for i in range(3)]
         path = manifest_factory(make_manifest({"qz1": questions}))
