@@ -153,11 +153,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         rules = RulesOfConduct()
 
-    # Fail fast on backend requirements before touching the corpus or network.
+    # Fail fast on backend requirements before touching the corpus or network,
+    # but read the replay fixture only after the corpus is validated, so its
+    # mapping is not held while the manifest is parsed.
     if args.backend == "replay":
         if args.fixture is None:
             raise ConfigError("--backend replay requires --fixture")
-        completion = client.open_replay(args.fixture)
+        completion = None
     else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if not api_key:
@@ -167,6 +169,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.manifest is None:
         raise ConfigError("a corpus manifest is required (--manifest or config file)")
     corpus = load_corpus(args.manifest)
+    if completion is None:
+        completion = client.open_replay(args.fixture)
 
     transcript_path = args.out / "transcript.json"
     # Replay has no I/O to overlap, so a thread pool would only slow it down.

@@ -142,7 +142,7 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     Raises MalformedManifestError when the file cannot be parsed at all, and
     CorpusValidationError carrying every issue found otherwise.
     """
-    doc, digest = _read_manifest(manifest_path)
+    doc, digest = _read_manifest(manifest_path, object_hook=_choice_records)
     issues: list[ValidationIssue] = []
 
     vocab_raw = doc.get("tag_vocabulary")
@@ -210,6 +210,20 @@ def _read_manifest(manifest_path: str | Path, **loads_kwargs) -> tuple[dict, str
     if not isinstance(doc, dict):
         raise MalformedManifestError(f"manifest {manifest_path} must hold a JSON object at the top level")
     return doc, digest
+
+
+def _choice_records(obj: dict) -> dict:
+    """``load_corpus``'s ``object_hook``: an object's ``choices`` array whose
+    every entry is an object with string ``letter`` and ``text`` becomes a
+    tuple of ``Choice`` records, so each question's choice objects are freed
+    as it is parsed. ``_parse_choices`` checks the count and the letters."""
+    raw = obj.get("choices")
+    if isinstance(raw, list) and all(
+        isinstance(item, dict) and isinstance(item.get("letter"), str) and isinstance(item.get("text"), str)
+        for item in raw
+    ):
+        obj["choices"] = tuple(Choice(letter=item["letter"], text=item["text"]) for item in raw)
+    return obj
 
 
 def _parse_quiz(
@@ -317,7 +331,7 @@ def _parse_question(
 
 
 def _parse_choices(raw: object, qid: str, issues: list[ValidationIssue]) -> tuple[Choice, ...] | None:
-    if not isinstance(raw, list) or not (MIN_CHOICES <= len(raw) <= MAX_CHOICES):
+    if not isinstance(raw, (list, tuple)) or not (MIN_CHOICES <= len(raw) <= MAX_CHOICES):
         issues.append(
             ValidationIssue(
                 "MalformedManifest",
@@ -325,13 +339,11 @@ def _parse_choices(raw: object, qid: str, issues: list[ValidationIssue]) -> tupl
             )
         )
         return None
-    choices: list[Choice] = []
-    for item in raw:
-        if not isinstance(item, dict) or not isinstance(item.get("letter"), str) or not isinstance(item.get("text"), str):
-            issues.append(ValidationIssue("MalformedManifest", f"question {qid}: each choice needs letter and text"))
-            return None
-        choices.append(Choice(letter=item["letter"], text=item["text"]))
-    letters = tuple(c.letter for c in choices)
+    # _choice_records leaves an array a list only if an entry lacks a string letter or text.
+    if isinstance(raw, list):
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: each choice needs letter and text"))
+        return None
+    letters = tuple(c.letter for c in raw)
     if letters != tuple(LETTER_SEQUENCE[: len(letters)]):
         issues.append(
             ValidationIssue(
@@ -340,7 +352,7 @@ def _parse_choices(raw: object, qid: str, issues: list[ValidationIssue]) -> tupl
             )
         )
         return None
-    return tuple(choices)
+    return raw
 
 
 def _parse_image(

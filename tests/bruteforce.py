@@ -8,8 +8,9 @@ letter from a left-to-right scan over every marker occurrence, the answer
 key from a full ``json.loads`` of the manifest and a walk that checks each
 member before reading it, an input file from one ``Path.read_text`` or
 ``Path.read_bytes``, a CSV table from one ``writerows`` of the whole table
-written at once, and GraphML escaped by ``xml.sax.saxutils``. Only the
-package's exception classes are shared.
+written at once, GraphML escaped by ``xml.sax.saxutils``, and a corpus
+from a full ``json.loads`` of the manifest and a walk over the parsed
+document. Only the package's exception and record classes are shared.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 from itertools import combinations
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from quizeval.corpus import MalformedManifestError
+from quizeval.corpus import (
+    Choice, CorpusValidationError, ImageRef, MalformedManifestError, Question, Quiz, QuizCorpus, ValidationIssue,
+)
 
 
 def bf_density(n: int, edge_count: int, directed: bool = False) -> float:
@@ -215,3 +219,206 @@ def bf_graph_to_graphml(nodes: dict[str, str], edges: dict[tuple[str, str], int]
     for (a, b), count in sorted(edges.items()):
         lines.append(f'    <edge source={quoteattr(a)} target={quoteattr(b)}><data key="d1">{count}</data></edge>')
     return "\n".join([*lines, "  </graph>", "</graphml>"]) + "\n"
+
+
+_BF_LETTERS = "ABCDE"
+_BF_MIN_CHOICES, _BF_MAX_CHOICES = 2, 5
+_BF_MEDIA_TYPES = {".png": "image/png", ".jpg": "image/jpeg", ".jpeg": "image/jpeg"}
+
+
+def bf_load_corpus(manifest_path: str | Path) -> QuizCorpus:
+    """``load_corpus`` as a plain ``json.loads`` of the whole manifest and a
+    walk over the parsed document that builds every record from it."""
+    doc, digest = bf_read_json_and_digest(manifest_path, MalformedManifestError, "manifest")
+    if not isinstance(doc, dict):
+        raise MalformedManifestError(f"manifest {manifest_path} must hold a JSON object at the top level")
+    issues: list[ValidationIssue] = []
+
+    vocab_raw = doc.get("tag_vocabulary")
+    # Tags reach the CSV, DOT and GraphML outputs, which are UTF-8.
+    if not isinstance(vocab_raw, list) or not all(isinstance(t, str) and t and _bf_is_utf8(t) for t in vocab_raw):
+        raise MalformedManifestError("tag_vocabulary must be an array of non-empty UTF-8 strings")
+    vocabulary = frozenset(vocab_raw)
+
+    quizzes_raw = doc.get("quizzes")
+    if not isinstance(quizzes_raw, list):
+        raise MalformedManifestError("quizzes must be an array")
+
+    base_dir = os.path.dirname(manifest_path)
+    seen_question_ids: set[str] = set()
+    seen_quiz_ids: set[str] = set()
+    quizzes: list[Quiz] = []
+    for qz in quizzes_raw:
+        quiz = _bf_parse_quiz(qz, base_dir, vocabulary, seen_question_ids, seen_quiz_ids, issues)
+        if quiz is not None:
+            quizzes.append(quiz)
+
+    if issues:
+        raise CorpusValidationError(issues)
+    return QuizCorpus(quizzes=tuple(quizzes), tag_vocabulary=vocabulary, manifest_sha256=digest)
+
+
+def _bf_is_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _bf_parse_quiz(
+    qz: object,
+    base_dir: str,
+    vocabulary: frozenset[str],
+    seen_question_ids: set[str],
+    seen_quiz_ids: set[str],
+    issues: list[ValidationIssue],
+) -> Quiz | None:
+    if not isinstance(qz, dict):
+        issues.append(ValidationIssue("MalformedManifest", "quiz entry must be an object"))
+        return None
+    quiz_id = qz.get("id")
+    title = qz.get("title", "")
+    questions_raw = qz.get("questions")
+    if not isinstance(quiz_id, str) or not quiz_id:
+        issues.append(ValidationIssue("MalformedManifest", "quiz id must be a non-empty string"))
+        return None
+    if not _bf_is_utf8(quiz_id):
+        issues.append(ValidationIssue("MalformedManifest", f"quiz id {quiz_id!r} is not writable as UTF-8"))
+        return None
+    if quiz_id in seen_quiz_ids:
+        issues.append(ValidationIssue("DuplicateId", f"quiz id {quiz_id!r} appears more than once"))
+        return None
+    seen_quiz_ids.add(quiz_id)
+    if not isinstance(title, str):
+        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: title must be a string"))
+        title = ""
+    if not isinstance(questions_raw, list):
+        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: questions must be an array"))
+        return None
+
+    questions: list[Question] = []
+    for entry in questions_raw:
+        q = _bf_parse_question(entry, quiz_id, base_dir, vocabulary, seen_question_ids, issues)
+        if q is not None:
+            questions.append(q)
+    return Quiz(id=quiz_id, title=title, questions=tuple(questions))
+
+
+def _bf_parse_question(
+    entry: object,
+    quiz_id: str,
+    base_dir: str,
+    vocabulary: frozenset[str],
+    seen_question_ids: set[str],
+    issues: list[ValidationIssue],
+) -> Question | None:
+    if not isinstance(entry, dict):
+        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: question entry must be an object"))
+        return None
+    qid = entry.get("id")
+    if not isinstance(qid, str) or not qid:
+        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: question id must be a non-empty string"))
+        return None
+    if qid in seen_question_ids:
+        issues.append(ValidationIssue("DuplicateId", f"question id {qid!r} appears more than once"))
+        return None
+    seen_question_ids.add(qid)
+
+    ok = True
+    stem = entry.get("stem")
+    if not isinstance(stem, str):
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: stem must be a string"))
+        ok = False
+
+    choices = _bf_parse_choices(entry.get("choices"), qid, issues)
+    if choices is None:
+        ok = False
+
+    correct = entry.get("correct_letter")
+    if not isinstance(correct, str):
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: correct_letter must be a string"))
+        ok = False
+    elif choices is not None and correct not in tuple(c.letter for c in choices):
+        issues.append(
+            ValidationIssue(
+                "InvalidCorrectLetter",
+                f"question {qid}: correct_letter {correct!r} is not among the choice letters",
+            )
+        )
+        ok = False
+
+    explanation = entry.get("explanation")
+    if not isinstance(explanation, str) or not explanation.strip():
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: explanation must be non-empty"))
+        ok = False
+
+    image = _bf_parse_image(entry.get("image"), qid, base_dir, vocabulary, issues)
+    if image is None:
+        ok = False
+
+    if not ok:
+        return None
+    return Question(
+        id=qid,
+        quiz_id=quiz_id,
+        stem=stem,
+        choices=choices,
+        correct_letter=correct,
+        explanation=explanation,
+        image=image,
+    )
+
+
+def _bf_parse_choices(raw: object, qid: str, issues: list[ValidationIssue]) -> tuple[Choice, ...] | None:
+    if not isinstance(raw, list) or not (_BF_MIN_CHOICES <= len(raw) <= _BF_MAX_CHOICES):
+        issues.append(
+            ValidationIssue(
+                "MalformedManifest",
+                f"question {qid}: choices must be an array of {_BF_MIN_CHOICES}-{_BF_MAX_CHOICES} entries",
+            )
+        )
+        return None
+    choices: list[Choice] = []
+    for item in raw:
+        if not isinstance(item, dict) or not isinstance(item.get("letter"), str) or not isinstance(item.get("text"), str):
+            issues.append(ValidationIssue("MalformedManifest", f"question {qid}: each choice needs letter and text"))
+            return None
+        choices.append(Choice(letter=item["letter"], text=item["text"]))
+    letters = tuple(c.letter for c in choices)
+    if letters != tuple(_BF_LETTERS[: len(letters)]):
+        issues.append(
+            ValidationIssue(
+                "MalformedManifest",
+                f"question {qid}: choice letters must be A..{_BF_LETTERS[len(letters) - 1]} in order, got {letters}",
+            )
+        )
+        return None
+    return tuple(choices)
+
+
+def _bf_parse_image(
+    raw: object, qid: str, base_dir: str, vocabulary: frozenset[str], issues: list[ValidationIssue]
+) -> ImageRef | None:
+    if not isinstance(raw, dict) or not isinstance(raw.get("path"), str) or not isinstance(raw.get("domain_tag"), str):
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: image needs path and domain_tag"))
+        return None
+    tag = raw["domain_tag"]
+    ok = True
+    if tag not in vocabulary:
+        issues.append(ValidationIssue("UnknownTag", f"question {qid}: tag {tag!r} is not in the tag vocabulary"))
+        ok = False
+    path = os.path.join(base_dir, raw["path"])
+    media_type = _BF_MEDIA_TYPES.get(os.path.splitext(path)[1].lower())
+    if media_type is None:
+        name = os.path.basename(path)
+        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: image {name!r} is not a JPEG or PNG file"))
+        ok = False
+    # False, not an error, for a name the file system refuses, such as one too long.
+    if not os.path.isfile(path) or not os.access(path, os.R_OK):
+        issues.append(ValidationIssue("MissingImage", f"question {qid}: image file {path!r} is not readable"))
+        ok = False
+    if not ok:
+        return None
+    return ImageRef(path=path, domain_tag=tag, media_type=media_type)
+

@@ -142,12 +142,37 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_invalid_manifest_exits_one(self, manifest_factory, tmp_path, capsys):
-        path = manifest_factory(make_manifest({"qz1": [make_question("q1", correct="F")]}))
-        fixture = tmp_path / "f.json"
-        fixture.write_text("{}")
+        path = manifest_factory(make_manifest({"qz1": [make_question("q1", correct="F"),
+                                                       make_question("q2", tag="XYZZY")]}))
+        # The fixture does not exist: it is read only after the corpus is valid.
+        fixture = tmp_path / "absent-fixture.json"
         code = run_cli("run", "--manifest", str(path), "--backend", "replay",
                        "--fixture", str(fixture), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
         assert code == 1
+        assert err.splitlines() == [
+            "  InvalidCorrectLetter: question q1: correct_letter 'F' is not among the choice letters",
+            "  UnknownTag: question q2: tag 'XYZZY' is not in the tag vocabulary",
+            "2 errors",
+        ]
+        assert fixture.name not in err
+
+    def test_the_fixture_is_read_after_the_corpus(self, sample_paths, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording(name, function):
+            def call(*args):
+                calls.append(f"{name} called")
+                result = function(*args)
+                calls.append(f"{name} returned")
+                return result
+            return call
+
+        monkeypatch.setattr(cli, "load_corpus", recording("load_corpus", cli.load_corpus))
+        monkeypatch.setattr(client, "open_replay", recording("open_replay", client.open_replay))
+        assert run_cli("run", "--manifest", str(sample_paths.manifest), "--backend", "replay",
+                       "--fixture", str(sample_paths.fixture), "--out", str(tmp_path / "out")) == 0
+        assert calls == ["load_corpus called", "load_corpus returned", "open_replay called", "open_replay returned"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_temperature_exits_one(self, value, sample_paths, tmp_path, capsys):

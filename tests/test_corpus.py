@@ -8,7 +8,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quizeval.corpus import (
@@ -19,7 +19,7 @@ from quizeval.corpus import (
     read_answer_key,
 )
 
-from .bruteforce import bf_read_answer_key
+from .bruteforce import bf_load_corpus, bf_read_answer_key
 from .conftest import make_manifest, make_question
 
 
@@ -184,6 +184,20 @@ class TestLoadCorpus:
         # paths; with a pathlib.Path per image, 1.84-1.93x.
         assert kept < 1.75 * path.stat().st_size
 
+    def test_the_parse_never_holds_every_choice_object(self, sample_paths, tmp_path):
+        path = _scaled_sample(sample_paths, tmp_path)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.question_count == 1975
+        # Choice objects become records as each question is parsed: 2.82-3.07x
+        # on Python 3.10-3.13; parsing the whole document first, 3.62-4.14x.
+        assert peak < 3.3 * path.stat().st_size
+        assert corpus == bf_load_corpus(path)
+
     def test_records_hold_no_instance_dict(self, sample_corpus, sample_transcript):
         quiz = sample_corpus.quizzes[0]
         question = quiz.questions[0]
@@ -324,8 +338,9 @@ _JSON_VALUES = st.recursive(
 def _manifests(draw):
     """Manifest-shaped documents with extra members at every level, the key's
     member names nested in choices, titles and unknown members, question ids
-    that repeat, and now and then a member missing or swapped for any JSON
-    value, the top level included."""
+    that repeat, choice texts that are strings about half the time, and now
+    and then a member missing or swapped for any JSON value, the top level
+    included."""
     def obj(members: dict) -> dict:
         document = draw(st.dictionaries(_MEMBER_NAMES, _JSON_VALUES, max_size=2))
         for name, make in members.items():
@@ -340,7 +355,7 @@ def _manifests(draw):
         return obj({
             "id": lambda: draw(st.sampled_from(["q1", "q2", "q3"])),
             "stem": lambda: draw(st.text(max_size=4)),
-            "choices": lambda: [obj({"letter": lambda: letter, "text": lambda: draw(_JSON_VALUES)})
+            "choices": lambda: [obj({"letter": lambda: letter, "text": lambda: draw(st.text(max_size=4) | _JSON_VALUES)})
                                 for letter in "ABC"[: draw(st.integers(0, 3))]],
             "correct_letter": lambda: draw(st.sampled_from("ABC")),
             "explanation": lambda: draw(st.text(max_size=4)),
@@ -363,6 +378,29 @@ def _manifests(draw):
     })
 
 
+def _load_outcome(load, path):
+    """A loader's corpus, or the type of what it raised with its issues or message."""
+    try:
+        return load(path)
+    except CorpusValidationError as exc:
+        return CorpusValidationError, exc.issues
+    except MalformedManifestError as exc:
+        return MalformedManifestError, str(exc)
+
+
+def _has_record_choices(value) -> bool:
+    """Whether ``value`` holds a non-empty ``choices`` array of objects that
+    all have a string letter and text, which the parse turns into records."""
+    if isinstance(value, list):
+        return any(_has_record_choices(item) for item in value)
+    if not isinstance(value, dict):
+        return False
+    choices = value.get("choices")
+    return (isinstance(choices, list) and bool(choices) and all(
+        isinstance(c, dict) and isinstance(c.get("letter"), str) and isinstance(c.get("text"), str) for c in choices
+    )) or any(_has_record_choices(item) for item in value.values())
+
+
 @settings(max_examples=300, deadline=None)
 @given(manifest=_manifests())
 def test_read_answer_key_agrees_with_a_full_parse(tmp_path_factory, manifest):
@@ -376,6 +414,15 @@ def test_read_answer_key_agrees_with_a_full_parse(tmp_path_factory, manifest):
     else:
         key, digest = read_answer_key(path)
         assert (list(key.items()), digest) == (list(expected[0].items()), expected[1])
+
+    # load_corpus builds choice records during the parse; its corpus, or its
+    # issues in order, must be those of a walk over the whole parsed document.
+    (path.parent / "images").mkdir()
+    (path.parent / "images" / "q.png").write_bytes(b"png")
+    corpus = _load_outcome(load_corpus, path)
+    event(f"choices all lettered and texted: {_has_record_choices(manifest)}")
+    event(f"load_corpus: {type(corpus).__name__}")
+    assert corpus == _load_outcome(bf_load_corpus, path)
 
 
 class TestCorpusStats:
