@@ -26,9 +26,10 @@ across threads.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .atomic import is_utf8, read_json_and_digest
 
@@ -142,7 +143,7 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     Raises MalformedManifestError when the file cannot be parsed at all, and
     CorpusValidationError carrying every issue found otherwise.
     """
-    doc, digest = _read_manifest(manifest_path, object_hook=_choice_records)
+    doc, digest = _read_manifest(manifest_path, object_hook=_choice_records())
     issues: list[ValidationIssue] = []
 
     vocab_raw = doc.get("tag_vocabulary")
@@ -212,18 +213,31 @@ def _read_manifest(manifest_path: str | Path, **loads_kwargs) -> tuple[dict, str
     return doc, digest
 
 
-def _choice_records(obj: dict) -> dict:
-    """``load_corpus``'s ``object_hook``: an object's ``choices`` array whose
-    every entry is an object with string ``letter`` and ``text`` becomes a
-    tuple of ``Choice`` records, so each question's choice objects are freed
-    as it is parsed. ``_parse_choices`` checks the count and the letters."""
-    raw = obj.get("choices")
-    if isinstance(raw, list) and all(
-        isinstance(item, dict) and isinstance(item.get("letter"), str) and isinstance(item.get("text"), str)
-        for item in raw
-    ):
-        obj["choices"] = tuple(Choice(letter=item["letter"], text=item["text"]) for item in raw)
-    return obj
+def _choice_records() -> Callable[[dict], dict]:
+    """A new ``object_hook`` for one ``load_corpus`` call: an object's
+    ``choices`` array whose every entry is an object with string ``letter``
+    and ``text`` becomes a tuple of ``Choice`` records, so each question's
+    choice objects are freed as it is parsed. Equal (letter, text) pairs in
+    one manifest share one record, built the first time the pair is seen.
+    ``_parse_choices`` checks the count and the letters."""
+    records: defaultdict[str, dict[str, Choice]] = defaultdict(dict)
+
+    def hook(obj: dict) -> dict:
+        raw = obj.get("choices")
+        if isinstance(raw, list) and all(
+            isinstance(item, dict) and isinstance(item.get("letter"), str) and isinstance(item.get("text"), str)
+            for item in raw
+        ):
+            choices = []
+            for item in raw:
+                by_text = records[item["letter"]]
+                if (choice := by_text.get(item["text"])) is None:
+                    choice = by_text[item["text"]] = Choice(letter=item["letter"], text=item["text"])
+                choices.append(choice)
+            obj["choices"] = tuple(choices)
+        return obj
+
+    return hook
 
 
 def _parse_quiz(

@@ -3,15 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import shutil
-import tracemalloc
 from collections import Counter
+from typing import Iterator
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quizeval.corpus import (
+    Choice,
     CorpusValidationError,
     MalformedManifestError,
     ValidationIssue,
@@ -21,26 +21,11 @@ from quizeval.corpus import (
 
 from .bruteforce import bf_load_corpus, bf_read_answer_key
 from .conftest import make_manifest, make_question
+from .memory_ratios import traced_kept, traced_peak, write_scaled_sample
 
 
 def issue_kinds(exc: CorpusValidationError) -> set[str]:
     return {issue.kind for issue in exc.issues}
-
-
-def _scaled_sample(sample_paths, tmp_path):
-    """1,975 sample-shaped questions, the sample's 79 in each of 25 quizzes,
-    written as the benchmark writes its manifests (indent 1) beside a copy of
-    the sample's images."""
-    sample = json.loads(sample_paths.manifest.read_text(encoding="utf-8"))
-    questions = [question for quiz in sample["quizzes"] for question in quiz["questions"]]
-    sample["quizzes"] = [
-        {"id": f"quiz{n}", "title": f"Quiz {n}", "questions": [{**q, "id": f"{q['id']}-{n}"} for q in questions]}
-        for n in range(25)
-    ]
-    shutil.copytree(sample_paths.images_dir, tmp_path / sample_paths.images_dir.name)
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(sample, indent=1) + "\n", encoding="utf-8")
-    return path
 
 
 class TestLoadCorpus:
@@ -168,35 +153,53 @@ class TestLoadCorpus:
         assert "MalformedManifest" in issue_kinds(excinfo.value)
 
     def test_the_corpus_keeps_less_than_twice_the_file(self, sample_paths, tmp_path, monkeypatch):
-        path = _scaled_sample(sample_paths, tmp_path)
+        path = write_scaled_sample(sample_paths, tmp_path)
         # Loaded by a relative path, so the length of the test's directory
         # does not enter the image paths the corpus keeps.
         monkeypatch.chdir(tmp_path)
-        tracemalloc.start()
-        try:
-            corpus = load_corpus(path.name)
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
+        corpus, kept = traced_kept(load_corpus, path.name)
         assert corpus.question_count == 1975
-        kept = sum(trace.size for trace in snapshot.traces)
-        # Everything kept: 1.56-1.66x on Python 3.10-3.13 with str image
-        # paths; with a pathlib.Path per image, 1.84-1.93x.
-        assert kept < 1.75 * path.stat().st_size
+        # Everything kept, with one record per distinct choice: 0.88-0.93x on
+        # Python 3.10-3.13 as tests/memory_ratios.py prints it, 1.01x on 3.11
+        # under pytest; with a record and a text string per choice, 1.47-1.56x
+        # and 1.64x.
+        assert kept < 1.2 * path.stat().st_size
 
     def test_the_parse_never_holds_every_choice_object(self, sample_paths, tmp_path):
-        path = _scaled_sample(sample_paths, tmp_path)
-        tracemalloc.start()
-        try:
-            corpus = load_corpus(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        path = write_scaled_sample(sample_paths, tmp_path)
+        corpus, peak = traced_peak(load_corpus, path)
         assert corpus.question_count == 1975
-        # Choice objects become records as each question is parsed: 2.82-3.07x
-        # on Python 3.10-3.13; parsing the whole document first, 3.62-4.14x.
-        assert peak < 3.3 * path.stat().st_size
+        # Choice objects become shared records as each question is parsed:
+        # 2.22-2.42x on Python 3.10-3.13 (tests/memory_ratios.py); a record
+        # per choice, 2.81-3.05x; parsing the whole document first, 3.62-4.14x.
+        assert peak < 2.6 * path.stat().st_size
         assert corpus == bf_load_corpus(path)
+
+    def test_the_choice_table_costs_little_without_repeated_choices(self, sample_paths, tmp_path):
+        path = write_scaled_sample(sample_paths, tmp_path, unique_texts=True)
+        corpus, peak = traced_peak(load_corpus, path)
+        assert corpus.question_count == 1975
+        # No (letter, text) pair repeats, so the table shares nothing and only
+        # costs its own entries: 2.82-3.15x on Python 3.10-3.13
+        # (tests/memory_ratios.py), against 2.77-3.00x with no table.
+        assert peak < 3.3 * path.stat().st_size
+
+    def test_equal_choices_share_one_record_within_a_load(self, sample_paths, sample_corpus):
+        choices = [choice for question in sample_corpus.iter_questions() for choice in question.choices]
+        assert len(choices) == 395
+        assert len({id(choice) for choice in choices}) == len(set(choices)) == 119
+        again = load_corpus(sample_paths.manifest)
+        assert again == sample_corpus
+        assert not {id(choice) for choice in choices} & {
+            id(choice) for question in again.iter_questions() for choice in question.choices}
+
+    def test_one_text_under_two_letters_keeps_two_records(self, manifest_factory):
+        questions = [make_question(qid, n_choices=2) for qid in ("q1", "q2")]
+        for question in questions:
+            question["choices"] = [{"letter": "A", "text": "X"}, {"letter": "B", "text": "X"}]
+        first, second = load_corpus(manifest_factory(make_manifest({"qz1": questions}))).quizzes[0].questions
+        assert first.choices == (Choice("A", "X"), Choice("B", "X"))
+        assert [a is b for a, b in zip(first.choices, second.choices)] == [True, True]
 
     def test_records_hold_no_instance_dict(self, sample_corpus, sample_transcript):
         quiz = sample_corpus.quizzes[0]
@@ -312,13 +315,8 @@ class TestReadAnswerKey:
                 read(path)
 
     def test_peak_memory_is_about_the_bytes_and_text_of_the_file(self, sample_paths, tmp_path):
-        path = _scaled_sample(sample_paths, tmp_path)
-        tracemalloc.start()
-        try:
-            key, _ = read_answer_key(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        path = write_scaled_sample(sample_paths, tmp_path)
+        (key, _), peak = traced_peak(read_answer_key, path)
         assert len(key) == 1975
         # The file's bytes and its decoded text are held together once; the
         # parsed document, which keeps only the key's members, stays below that.
@@ -334,43 +332,61 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# Pathology options come from a small pool of diagnoses, so the same choice
+# recurs across questions, and one text can sit under two letters.
+_CHOICE_TEXTS = ["Nevus", "Melanoma"]
+
+
 @st.composite
 def _manifests(draw):
     """Manifest-shaped documents with extra members at every level, the key's
-    member names nested in choices, titles and unknown members, question ids
-    that repeat, choice texts that are strings about half the time, and now
-    and then a member missing or swapped for any JSON value, the top level
-    included."""
+    member names nested in choices and unknown members, and choice texts from
+    ``_CHOICE_TEXTS``. About half the documents are drawn broken: in those,
+    now and then a member is missing or swapped for any JSON value (the top
+    level included), an id repeats, or a choice count or correct letter is
+    out of range. The others have unique ids and load."""
+    broken = draw(st.booleans())
+    used_ids: dict[str, list[str]] = {"qz": [], "q": []}
+
+    def rarely() -> bool:
+        return broken and draw(st.integers(0, 24)) == 24
+
+    def new_id(prefix: str) -> str:
+        used = used_ids[prefix]
+        if used and rarely():
+            return draw(st.sampled_from(used))
+        used.append(f"{prefix}{len(used) + 1}")
+        return used[-1]
+
     def obj(members: dict) -> dict:
-        document = draw(st.dictionaries(_MEMBER_NAMES, _JSON_VALUES, max_size=2))
+        document = draw(st.dictionaries(_MEMBER_NAMES, _JSON_VALUES, max_size=1))
         for name, make in members.items():
-            fate = draw(st.integers(0, 24))
-            if fate == 24:
+            if rarely():
                 document.pop(name, None)
             else:
-                document[name] = make() if fate < 23 else draw(_JSON_VALUES)
+                document[name] = draw(_JSON_VALUES) if rarely() else make()
         return document
 
     def question() -> dict:
         return obj({
-            "id": lambda: draw(st.sampled_from(["q1", "q2", "q3"])),
+            "id": lambda: new_id("q"),
             "stem": lambda: draw(st.text(max_size=4)),
-            "choices": lambda: [obj({"letter": lambda: letter, "text": lambda: draw(st.text(max_size=4) | _JSON_VALUES)})
-                                for letter in "ABC"[: draw(st.integers(0, 3))]],
-            "correct_letter": lambda: draw(st.sampled_from("ABC")),
-            "explanation": lambda: draw(st.text(max_size=4)),
+            "choices": lambda: [obj({"letter": lambda: letter, "text": lambda: draw(st.sampled_from(_CHOICE_TEXTS))})
+                                for letter in "ABC"[: draw(st.integers(0, 1) if rarely() else st.integers(2, 3))]],
+            "correct_letter": lambda: "C" if rarely() else draw(st.sampled_from("AB")),
+            "explanation": lambda: draw(st.text(min_size=1, max_size=4)),
             "image": lambda: obj({"path": lambda: "images/q.png",
                                   "domain_tag": lambda: draw(st.sampled_from(["CV", "EYE"]))}),
         })
 
     def quiz() -> dict:
         return obj({
-            "id": lambda: draw(st.sampled_from(["qz1", "qz2"])),
-            "title": lambda: draw(_JSON_VALUES),
-            "questions": lambda: [question() for _ in range(draw(st.integers(0, 3)))],
+            "id": lambda: new_id("qz"),
+            "title": lambda: draw(st.text(max_size=4)),
+            "questions": lambda: [question() for _ in range(draw(st.integers(1, 3)))],
         })
 
-    if draw(st.integers(0, 24)) == 24:
+    if rarely():
         return draw(_JSON_VALUES)
     return obj({
         "tag_vocabulary": lambda: ["CV", "EYE"],
@@ -388,17 +404,21 @@ def _load_outcome(load, path):
         return MalformedManifestError, str(exc)
 
 
-def _has_record_choices(value) -> bool:
-    """Whether ``value`` holds a non-empty ``choices`` array of objects that
-    all have a string letter and text, which the parse turns into records."""
+def _record_choices(value) -> Iterator[list]:
+    """Each non-empty ``choices`` array in ``value`` whose entries are all
+    objects with a string letter and text, which the parse turns into records."""
     if isinstance(value, list):
-        return any(_has_record_choices(item) for item in value)
-    if not isinstance(value, dict):
-        return False
-    choices = value.get("choices")
-    return (isinstance(choices, list) and bool(choices) and all(
-        isinstance(c, dict) and isinstance(c.get("letter"), str) and isinstance(c.get("text"), str) for c in choices
-    )) or any(_has_record_choices(item) for item in value.values())
+        for item in value:
+            yield from _record_choices(item)
+    elif isinstance(value, dict):
+        choices = value.get("choices")
+        if isinstance(choices, list) and choices and all(
+            isinstance(c, dict) and isinstance(c.get("letter"), str) and isinstance(c.get("text"), str)
+            for c in choices
+        ):
+            yield choices
+        for item in value.values():
+            yield from _record_choices(item)
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,7 +440,10 @@ def test_read_answer_key_agrees_with_a_full_parse(tmp_path_factory, manifest):
     (path.parent / "images").mkdir()
     (path.parent / "images" / "q.png").write_bytes(b"png")
     corpus = _load_outcome(load_corpus, path)
-    event(f"choices all lettered and texted: {_has_record_choices(manifest)}")
+    arrays = list(_record_choices(manifest))
+    pairs = Counter(pair for array in arrays for pair in {(c["letter"], c["text"]) for c in array})
+    event(f"choices all lettered and texted: {bool(arrays)}")
+    event(f"a (letter, text) pair repeats across questions: {any(n > 1 for n in pairs.values())}")
     event(f"load_corpus: {type(corpus).__name__}")
     assert corpus == _load_outcome(bf_load_corpus, path)
 
