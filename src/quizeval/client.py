@@ -17,11 +17,12 @@ import functools
 import json
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .atomic import read_json
-from .prompting import EngineConfig, PromptEnvelope
+from .prompting import EngineConfig, ImageReadError, PromptEnvelope
 
 REQUEST_TIMEOUT_SECONDS = 120.0
 MAX_RETRIES = 3
@@ -31,7 +32,7 @@ ERROR_KINDS = ("Auth", "RateLimit", "Timeout", "Server", "Malformed", "Transport
 _RETRYABLE_KINDS = frozenset({"RateLimit", "Timeout", "Server", "Transport"})
 
 # transport(url, body, headers) -> (status_code, response_text)
-Transport = Callable[[str, bytes, dict], tuple[int, str]]
+Transport = Callable[[str, "RequestBody", dict], tuple[int, str]]
 # completion(envelope) -> response text; run_evaluation takes any such function
 CompletionFn = Callable[[PromptEnvelope], str]
 
@@ -70,17 +71,57 @@ class MalformedFixtureError(Exception):
 
 
 _EMPTY_IMAGE_URL = b'{"url": ""}'
+# Image bytes per read: a multiple of 3 whose base64 (64 KiB) stays below glibc's mmap threshold.
+_IMAGE_BLOCK = 49_152
 
 
-def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
-    """Serialize the chat-completions request: one user message with the
-    prompt text, plus the image part when ``prompt`` is an envelope rather
-    than plain text. Byte-identical for identical (prompt, config) pairs.
+@dataclass(frozen=True, slots=True)
+class RequestBody:
+    """A request's wire bytes: ``head``, the base64 of the ``image_size``-byte
+    file at ``image_path`` (if any), then ``tail``; ``len()`` counts them and
+    ``bytes()`` joins them. Each iteration reads the file afresh, a block at a
+    time, and raises ImageReadError if it cannot or the file's size changed."""
 
-    The image part is serialised with an empty URL, and the data URL's
-    base64 bytes are spliced in afterwards, so ``json.dumps`` never scans
-    or copies the image. The bytes equal those of serialising the full URL:
-    base64 needs no JSON escaping.
+    head: bytes
+    image_path: str | None = None
+    image_size: int = 0
+    tail: bytes = b""
+
+    def __len__(self) -> int:
+        return len(self.head) + 4 * ((self.image_size + 2) // 3) + len(self.tail)
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self)
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield self.head
+        if self.image_path is not None:
+            block, left = memoryview(bytearray(_IMAGE_BLOCK)), self.image_size
+            try:
+                with open(self.image_path, "rb") as image:
+                    while True:
+                        # After the last block one more byte is asked for: the file must end there.
+                        want = min(left, _IMAGE_BLOCK)
+                        if (got := image.readinto(block[: want or 1])) != want:
+                            raise ImageReadError(f"image {self.image_path} is no longer {self.image_size} bytes long")
+                        if not got:
+                            break
+                        left -= got
+                        yield base64.b64encode(block[:got])
+            except OSError as exc:
+                raise ImageReadError(f"cannot read image {self.image_path}: {exc}") from exc
+        yield self.tail
+
+
+def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> RequestBody:
+    """The chat-completions request: one user message with the prompt text,
+    plus the image part when ``prompt`` is an envelope rather than plain
+    text. Byte-identical for identical (prompt, config) pairs and image.
+
+    The image part is serialised with an empty URL, and the body streams
+    the data URL's base64 from the image file in its place, so neither
+    ``json.dumps`` nor the body holds the image. The bytes equal those of
+    serialising the full URL: base64 needs no JSON escaping.
     """
     if isinstance(prompt, str):
         content = [{"type": "text", "text": prompt}]
@@ -98,13 +139,13 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> bytes:
         payload["temperature"] = config.temperature
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     if isinstance(prompt, str):
-        return body
+        return RequestBody(body)
     # Every '"' inside a JSON string is escaped, so no text or model id can
     # produce the empty-URL object: the one occurrence is the image part's.
     assert body.count(_EMPTY_IMAGE_URL) == 1
     head, _, tail = body.partition(_EMPTY_IMAGE_URL)
     url_prefix = json.dumps(f"data:{prompt.image_media_type};base64,")[1:-1].encode("ascii")
-    return b"".join((head, b'{"url": "', url_prefix, base64.b64encode(prompt.image_bytes), b'"}', tail))
+    return RequestBody(head + b'{"url": "' + url_prefix, prompt.image_path, prompt.image_size, b'"}' + tail)
 
 
 @functools.cache
@@ -126,9 +167,10 @@ def _opener():
     return urllib.request.build_opener(NoRedirect)
 
 
-def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:
+def _default_transport(url: str, body: RequestBody, headers: dict) -> tuple[int, str]:
     """POST ``body`` over a fresh connection and return the status and the
-    reply decoded as UTF-8 (undecodable bytes replaced).
+    reply decoded as UTF-8 (undecodable bytes replaced). ``body`` is streamed
+    under ``Content-Length: len(body)``, so urllib does not chunk it.
 
     Proxies come from ``HTTP(S)_PROXY``/``NO_PROXY`` through the opener's
     default proxy handler, and TLS is verified with ``ssl``'s default
@@ -137,6 +179,7 @@ def _default_transport(url: str, body: bytes, headers: dict) -> tuple[int, str]:
     import urllib.error
     import urllib.request
 
+    headers = {**headers, "Content-Length": str(len(body))}
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         response = _opener().open(request, timeout=REQUEST_TIMEOUT_SECONDS)

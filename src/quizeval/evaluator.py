@@ -156,13 +156,13 @@ def run_evaluation(
 ) -> RunTranscript:
     """Evaluate every question and assemble the run transcript.
 
-    Each question's envelope is built by the worker that sends it, so about
-    ``parallelism`` images are held in memory at once, whatever the corpus
-    size. Client failures on individual questions become error verdicts
-    rather than aborting the run; only corpus-level failures (an unreadable
-    image) abort, and an abort skips the questions that have not started, so
-    they are never paid for. Results are aggregated in corpus order, so any
-    ``parallelism`` level produces the same transcript. When
+    Each question's envelope is built by the worker that sends it, and its
+    image is streamed into the request a block at a time, so memory does not
+    grow with the corpus or the images. Client failures on one question
+    become error verdicts; only corpus-level failures (an image that cannot
+    be read whole) abort, and an abort skips the questions that have not
+    started, so they are never paid for. Results are aggregated in corpus
+    order, so any ``parallelism`` level produces the same transcript. When
     ``transcript_path`` is given the transcript is persisted before return.
     """
     def evaluate_one(question: Question) -> Verdict:

@@ -9,6 +9,7 @@ that letter extraction downstream is well-posed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
@@ -79,31 +80,37 @@ class EngineConfig:
 class PromptEnvelope:
     """Ordered interaction payload: rules, stem, choices, one image.
 
-    The image travels as raw bytes plus a media type and is never inlined
-    into the text parts; the wire encoding is the client's concern.
+    The image travels as its file's path and size plus a media type and is
+    never inlined into the text parts; the client streams the file.
     """
 
     question_id: str
     rules_text: str
     stem: str
     choices_text: str
-    image_bytes: bytes
+    image_path: str
+    image_size: int
     image_media_type: str
 
     @property
     def text(self) -> str:
         return "\n\n".join((self.rules_text, self.stem, self.choices_text))
 
+    @property
+    def image_bytes(self) -> bytes:
+        """The image file's bytes, read from disk on each access."""
+        with open(self.image_path, "rb") as image:
+            return image.read()
+
 
 def build_prompt(question: Question, rules: RulesOfConduct) -> PromptEnvelope:
-    """Assemble the payload for one question, reading its image from disk.
+    """Assemble the payload for one question; its image is stat'ed, not read.
     The choices are one '<letter>. <text>' line each, in letter order.
 
     Deterministic: identical inputs yield an identical envelope.
     """
     try:
-        with open(question.image.path, "rb") as image:
-            image_bytes = image.read()
+        image_size = os.stat(question.image.path).st_size
     except OSError as exc:
         raise ImageReadError(f"cannot read image {question.image.path}: {exc}") from exc
     return PromptEnvelope(
@@ -111,6 +118,7 @@ def build_prompt(question: Question, rules: RulesOfConduct) -> PromptEnvelope:
         rules_text=rules.instruction_text,
         stem=question.stem,
         choices_text="\n".join(f"{c.letter}. {c.text}" for c in question.choices),
-        image_bytes=image_bytes,
+        image_path=question.image.path,
+        image_size=image_size,
         image_media_type=question.image.media_type,
     )

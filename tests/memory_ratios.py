@@ -1,5 +1,6 @@
 """Traced memory of the corpus readers on a scaled sample manifest, as
-multiples of the file's size, for the interpreter that runs this script.
+multiples of the file's size, and of streaming one request body, for the
+interpreter that runs this script.
 
 It needs only the standard library and the package, so it runs under
 interpreters that have no pytest:
@@ -11,9 +12,12 @@ directory: one with the sample's choice texts, which repeat across
 questions, and one with each choice text suffixed by its question id, so
 that no (letter, text) pair repeats. For each it prints the traced peak of
 ``load_corpus``, what the loaded corpus keeps, and the traced peak of
-``read_answer_key``. The memory tests in ``test_corpus.py`` build their
-manifests and take their measurements with the functions below, so the
-figures printed here are the ones their bounds are set from.
+``read_answer_key``. Then it writes a 200 KB and a 4 MiB image and prints
+the traced peak of building and iterating each one's request body, as the
+transport sends it. The memory tests in ``test_corpus.py`` and
+``test_client.py`` build their inputs and take their measurements with the
+functions below, so the figures printed here are the ones their bounds are
+set from.
 """
 
 from __future__ import annotations
@@ -21,13 +25,16 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from quizeval.client import request_body
 from quizeval.corpus import load_corpus, read_answer_key
+from quizeval.prompting import EngineConfig, PromptEnvelope
 from quizeval.sampledata import SamplePaths, materialize_sample
 
 T = TypeVar("T")
@@ -77,6 +84,24 @@ def traced_kept(read: Callable[[Path], T], path: Path) -> tuple[T, int]:
     return result, sum(trace.size for trace in snapshot.traces)
 
 
+def write_image(path: Path, size: int) -> Path:
+    """``size`` incompressible bytes, the same for every run, at ``path``."""
+    path.write_bytes(random.Random(size).randbytes(size))
+    return path
+
+
+def stream_body(image: Path) -> int:
+    """Build the request body of a one-image envelope over ``image`` and
+    iterate it as a transport does, holding one piece at a time; returns the
+    number of bytes it yielded."""
+    envelope = PromptEnvelope("q1", "Rules. Correct Choice:", "Stem.", "A. one", str(image),
+                              image.stat().st_size, "image/png")
+    sent = 0
+    for piece in request_body(envelope, EngineConfig()):
+        sent += len(piece)
+    return sent
+
+
 def main() -> None:
     print(f"python {platform.python_version()}: traced bytes as multiples of the manifest's size")
     print(f"{'choice texts':<14}{'load_corpus peak':>18}{'corpus kept':>13}{'read_answer_key peak':>22}")
@@ -98,6 +123,10 @@ def main() -> None:
                 os.chdir(cwd)
             _, key_peak = traced_peak(read_answer_key, path)
             print(f"{label:<14}{load_peak / size:>18.2f}{kept / size:>13.2f}{key_peak / size:>22.2f}")
+        print(f"{'image':<14}{'body bytes':>18}{'streamed body peak':>22}")
+        for label, size in (("200 KB", 200 * 1024), ("4 MiB", 4 * 1024 * 1024)):
+            sent, peak = traced_peak(stream_body, write_image(Path(tmp, "image.png"), size))
+            print(f"{label:<14}{sent:>18,}{peak / 1024:>18.1f} KiB")
 
 
 if __name__ == "__main__":

@@ -712,7 +712,7 @@ def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, 
     monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
     for source, argv in (("flag", ["--temperature", "1"]), ("config", ["--config", str(config_path)])):
         def transport(url, body, headers, sent=bodies[source]):
-            sent.append(body)
+            sent.append(bytes(body))
             return 200, json.dumps({"choices": [{"message": {"content": "Correct Choice:A"}}], "model": "m"})
 
         monkeypatch.setattr(client, "_default_transport", transport)

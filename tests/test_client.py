@@ -5,14 +5,13 @@ import http.client
 import http.server
 import json
 import os
-import random
 import socket
 import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import urllib.error
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -29,23 +28,36 @@ from quizeval.client import (
     request_body,
 )
 from quizeval.corpus import IMAGE_MEDIA_TYPES
-from quizeval.prompting import EngineConfig, PromptEnvelope
+from quizeval.prompting import EngineConfig, ImageReadError, PromptEnvelope
 
 from .bruteforce import bf_request_body
 from .conftest import child_env
+from .memory_ratios import stream_body, traced_peak, write_image
 
 CONFIG = EngineConfig(endpoint_url="https://example.test/v1/chat/completions")
+IMAGE = b"\x89PNGbytes"
+BLOCK = client._IMAGE_BLOCK
 
 
-def envelope(question_id: str = "q1") -> PromptEnvelope:
+def envelope_over(image: Path, question_id: str = "q1") -> PromptEnvelope:
     return PromptEnvelope(
         question_id=question_id,
         rules_text="Rules. Correct Choice:(letter)",
         stem="Stem.",
         choices_text="A. one\nB. two",
-        image_bytes=b"\x89PNGbytes",
+        image_path=str(image),
+        image_size=image.stat().st_size,
         image_media_type="image/png",
     )
+
+
+@pytest.fixture
+def envelope(tmp_path):
+    """``envelope(question_id="q1")`` makes an envelope whose image is a file
+    holding ``IMAGE``."""
+    image = tmp_path / "image.png"
+    image.write_bytes(IMAGE)
+    return lambda question_id="q1": envelope_over(image, question_id)
 
 
 def ok_response(text: str, model: str = "test-model") -> tuple[int, str]:
@@ -60,7 +72,8 @@ class FakeTransport:
         self.calls: list[tuple[str, bytes, dict]] = []
 
     def __call__(self, url, body, headers):
-        self.calls.append((url, body, dict(headers)))
+        # Streamed whole, as the default transport sends it.
+        self.calls.append((url, bytes(body), dict(headers)))
         step = self.script.pop(0)
         if isinstance(step, Exception):
             raise step
@@ -68,13 +81,13 @@ class FakeTransport:
 
 
 class TestReplayBackend:
-    def test_returns_fixture_text_verbatim(self, tmp_path):
+    def test_returns_fixture_text_verbatim(self, tmp_path, envelope):
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps({"q1": "Looks right. Correct Choice:D"}))
         completion = open_replay(fixture)
         assert completion(envelope("q1")) == "Looks right. Correct Choice:D"
 
-    def test_unknown_id_is_malformed(self, tmp_path):
+    def test_unknown_id_is_malformed(self, tmp_path, envelope):
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps({"q1": "text"}))
         completion = open_replay(fixture)
@@ -99,7 +112,7 @@ class TestReplayBackend:
         with pytest.raises(MalformedFixtureError):
             open_replay(tmp_path / "absent.json")
 
-    def test_bit_deterministic_in_any_order(self, tmp_path):
+    def test_bit_deterministic_in_any_order(self, tmp_path, envelope):
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps({f"q{i}": f"text {i}" for i in range(10)}))
         completion = open_replay(fixture)
@@ -109,9 +122,9 @@ class TestReplayBackend:
 
 
 class TestRequestBody:
-    def test_shape_and_image_encoding(self):
+    def test_shape_and_image_encoding(self, envelope):
         env = envelope()
-        body = json.loads(request_body(env, CONFIG))
+        body = json.loads(bytes(request_body(env, CONFIG)))
         assert body["model"] == CONFIG.model_id
         assert body["max_tokens"] == CONFIG.max_tokens
         assert "temperature" not in body
@@ -119,26 +132,27 @@ class TestRequestBody:
         assert message["role"] == "user"
         text_part, image_part = message["content"]
         assert text_part == {"type": "text", "text": env.text}
-        expected_b64 = base64.b64encode(env.image_bytes).decode("ascii")
+        expected_b64 = base64.b64encode(IMAGE).decode("ascii")
         assert image_part["image_url"]["url"] == f"data:image/png;base64,{expected_b64}"
 
-    def test_temperature_included_when_set(self):
+    def test_temperature_included_when_set(self, envelope):
         config = EngineConfig(endpoint_url=CONFIG.endpoint_url, temperature=0.2)
-        body = json.loads(request_body(envelope(), config))
+        body = json.loads(bytes(request_body(envelope(), config)))
         assert body["temperature"] == 0.2
 
-    def test_byte_identical_for_identical_inputs(self):
+    def test_byte_identical_for_identical_inputs(self, envelope):
         assert request_body(envelope(), CONFIG) == request_body(envelope(), CONFIG)
+        assert bytes(request_body(envelope(), CONFIG)) == bytes(request_body(envelope(), CONFIG))
 
-    def test_wire_bytes_pinned(self):
+    def test_wire_bytes_pinned(self, envelope):
         config = EngineConfig(endpoint_url=CONFIG.endpoint_url, temperature=0.2)
         head = b'{"max_tokens": 4000, "messages": [{"content": [{"text": '
         tail = b'], "role": "user"}], "model": "gpt-4-vision-preview", "temperature": 0.2}'
-        assert request_body(envelope(), config) == head + (
+        assert bytes(request_body(envelope(), config)) == head + (
             b'"Rules. Correct Choice:(letter)\\n\\nStem.\\n\\nA. one\\nB. two", "type": "text"}, '
             b'{"image_url": {"url": "data:image/png;base64,iVBOR2J5dGVz"}, "type": "image_url"}'
         ) + tail
-        assert request_body("find entities", config) == head + b'"find entities", "type": "text"}' + tail
+        assert bytes(request_body("find entities", config)) == head + b'"find entities", "type": "text"}' + tail
 
 
 # Texts built from arbitrary strings and the characters JSON must escape,
@@ -146,42 +160,60 @@ class TestRequestBody:
 _texts = st.lists(
     st.one_of(st.text(), st.sampled_from(['{"url": ""}', '"', "\\", "\x00", "\u00e9", "\U0001f600"]))
 ).map("".join)
-_envelopes = st.builds(
-    PromptEnvelope, question_id=st.just("q1"), rules_text=_texts, stem=_texts, choices_text=_texts,
-    image_bytes=st.binary(max_size=64), image_media_type=st.sampled_from(sorted(set(IMAGE_MEDIA_TYPES.values()))),
-)
+# Image sizes on both sides of the multiples of 3 (base64 padding) and of
+# the block the body reads the file in.
+_image_sizes = st.sampled_from([0, 1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2]) | st.integers(0, 300)
+_images = st.tuples(_texts, _texts, _texts, _image_sizes, st.sampled_from(sorted(set(IMAGE_MEDIA_TYPES.values()))))
+
+
+@pytest.fixture(scope="module")
+def image_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("images")
 
 
 class TestRequestBodyEncoding:
     @given(
-        prompt=st.one_of(_envelopes, _texts),
+        prompt=st.one_of(_images, _texts),
         model_id=_texts,
         max_tokens=st.integers(min_value=1, max_value=10**6),
         temperature=st.none() | st.floats(min_value=0.0, allow_infinity=False),
     )
-    def test_equals_whole_payload_serialisation(self, prompt, model_id, max_tokens, temperature):
+    def test_equals_whole_payload_serialisation(self, image_dir, prompt, model_id, max_tokens, temperature):
         config = EngineConfig(model_id=model_id, max_tokens=max_tokens, temperature=temperature)
         if isinstance(prompt, str):
             expected = bf_request_body(prompt, None, model_id, max_tokens, temperature)
         else:
-            image = (prompt.image_media_type, prompt.image_bytes)
-            expected = bf_request_body(prompt.text, image, model_id, max_tokens, temperature)
-        assert request_body(prompt, config) == expected
+            rules_text, stem, choices_text, size, media_type = prompt
+            data = write_image(image_dir / "image", size).read_bytes()
+            prompt = PromptEnvelope("q1", rules_text, stem, choices_text, str(image_dir / "image"), size, media_type)
+            expected = bf_request_body(prompt.text, (media_type, data), model_id, max_tokens, temperature)
+        body = request_body(prompt, config)
+        assert bytes(body) == expected
+        assert len(body) == len(expected)
+        assert list(body) == list(body)
 
-    def test_peak_memory_below_three_bodies(self):
-        env = PromptEnvelope("q1", "Rules. Correct Choice:", "Stem.", "A. one", random.Random(0).randbytes(200_000),
-                             "image/png")
-        tracemalloc.start()
-        try:
-            body = request_body(env, CONFIG)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * len(body)
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK + 1])
+    def test_image_that_changes_size_mid_stream_raises(self, size, tmp_path):
+        image = write_image(tmp_path / "image.png", 2 * BLOCK)
+        body = request_body(envelope_over(image), CONFIG)
+        pieces = iter(body)
+        next(pieces), next(pieces)  # the head and the first block
+        os.truncate(image, size)
+        with pytest.raises(ImageReadError, match="is no longer 98304 bytes long"):
+            list(pieces)
+
+    def test_streaming_peak_is_one_block(self, tmp_path):
+        image = write_image(tmp_path / "image.png", 4 * 1024 * 1024)
+        sent, peak = traced_peak(stream_body, image)
+        assert sent > 4 * image.stat().st_size // 3
+        # 213-223 KiB on Python 3.10-3.13 (tests/memory_ratios.py): the piece
+        # being sent, the block read and base64's transient buffer. Holding
+        # the image or its base64 whole would take megabytes.
+        assert peak < 256 * 1024
 
 
 class TestLiveCompletion:
-    def test_success(self):
+    def test_success(self, envelope):
         transport = FakeTransport([ok_response("All good. Choice:B")])
         text = make_live_completion(CONFIG, "sk-key", transport=transport, sleep=lambda s: None)(envelope())
         assert text == "All good. Choice:B"
@@ -191,7 +223,7 @@ class TestLiveCompletion:
 
     @pytest.mark.parametrize("key", ["sk-secret-123\r", "sk-secret-123\n", "sk secret-123", "sk-secret-123\u00e9",
                                      "sk-secret-123\x7f"])
-    def test_key_a_header_cannot_carry_is_refused_before_any_request(self, key):
+    def test_key_a_header_cannot_carry_is_refused_before_any_request(self, key, envelope):
         transport = FakeTransport([])
         for call in (lambda: complete_text("x", CONFIG, key, transport=transport, sleep=lambda s: None),
                      lambda: make_live_completion(CONFIG, key, transport=transport, sleep=lambda s: None)(envelope())):
@@ -200,7 +232,7 @@ class TestLiveCompletion:
             assert "secret" not in str(excinfo.value)
         assert transport.calls == []
 
-    def test_bodies_identical_across_credentials(self):
+    def test_bodies_identical_across_credentials(self, envelope):
         first = FakeTransport([ok_response("x")])
         second = FakeTransport([ok_response("x")])
         env = envelope()
@@ -209,7 +241,7 @@ class TestLiveCompletion:
         assert first.calls[0][1] == second.calls[0][1]
         assert first.calls[0][2]["Authorization"] != second.calls[0][2]["Authorization"]
 
-    def test_auth_error_not_retried(self):
+    def test_auth_error_not_retried(self, envelope):
         transport = FakeTransport([(401, "denied")])
         sleeps: list[float] = []
         with pytest.raises(ClientError) as excinfo:
@@ -219,7 +251,7 @@ class TestLiveCompletion:
         assert sleeps == []
         assert len(transport.calls) == 1
 
-    def test_rate_limit_retried_with_backoff(self):
+    def test_rate_limit_retried_with_backoff(self, envelope):
         transport = FakeTransport([(429, "slow down"), (429, "slow down"), ok_response("fine")])
         sleeps: list[float] = []
         text = make_live_completion(CONFIG, "key", transport=transport, sleep=sleeps.append)(envelope())
@@ -227,7 +259,7 @@ class TestLiveCompletion:
         assert sleeps == [1.0, 2.0]
         assert len(transport.calls) == 3
 
-    def test_retries_exhausted_wraps_last_error(self):
+    def test_retries_exhausted_wraps_last_error(self, envelope):
         transport = FakeTransport([(500, "boom")] * 4)
         sleeps: list[float] = []
         with pytest.raises(RetriesExhaustedError) as excinfo:
@@ -238,7 +270,7 @@ class TestLiveCompletion:
         assert sleeps == [1.0, 2.0, 4.0]
         assert len(transport.calls) == 4
 
-    def test_timeout_maps_to_timeout_kind(self):
+    def test_timeout_maps_to_timeout_kind(self, envelope):
         for error in (TimeoutError("timed out"), urllib.error.URLError(TimeoutError("timed out"))):
             transport = FakeTransport([error, ok_response("ok")])
             text = make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
@@ -248,7 +280,7 @@ class TestLiveCompletion:
                 make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
             assert excinfo.value.kind == "Timeout", error
 
-    def test_connection_error_maps_to_transport_kind(self):
+    def test_connection_error_maps_to_transport_kind(self, envelope):
         for error in (
             ConnectionRefusedError("refused"),
             urllib.error.URLError(ConnectionRefusedError("refused")),
@@ -260,7 +292,7 @@ class TestLiveCompletion:
                 make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
             assert excinfo.value.kind == "Transport", error
 
-    def test_malformed_payload_not_retried(self):
+    def test_malformed_payload_not_retried(self, envelope):
         transport = FakeTransport([(200, "not json")])
         with pytest.raises(ClientError) as excinfo:
             make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
@@ -274,7 +306,7 @@ class TestLiveCompletion:
         assert excinfo.value.kind == "Malformed"
         assert len(transport.calls) == 1
 
-    def test_empty_content_is_malformed(self):
+    def test_empty_content_is_malformed(self, envelope):
         transport = FakeTransport([ok_response("")])
         with pytest.raises(ClientError) as excinfo:
             make_live_completion(CONFIG, "key", transport=transport, sleep=lambda s: None)(envelope())
@@ -290,7 +322,7 @@ class TestLiveCompletion:
         with pytest.raises(ValueError, match="unknown error kind 'Bogus'"):
             ClientError("Bogus", "x")
 
-    def test_min_interval_spaces_requests(self):
+    def test_min_interval_spaces_requests(self, envelope):
         transport = FakeTransport([ok_response("a"), ok_response("b")])
         sleeps: list[float] = []
         completion = make_live_completion(
@@ -447,14 +479,19 @@ class TestDefaultTransport:
         yield
         assert all(response.closed for response in opened)
 
-    def test_ok_reply_and_exact_wire_body(self, loopback):
+    def test_ok_reply_and_exact_wire_body(self, loopback, tmp_path):
         server = loopback(ok_reply("Looks right. Correct Choice:B"))
         config = config_for(server.url)
-        text = make_live_completion(config, "sk-key", sleep=lambda s: None)(envelope())
+        # Three blocks, the last one short, so the body goes out in pieces.
+        env = envelope_over(write_image(tmp_path / "image.png", 2 * BLOCK + 2))
+        text = make_live_completion(config, "sk-key", sleep=lambda s: None)(env)
         assert text == "Looks right. Correct Choice:B"
         ((method, path, headers, body),) = server.received
         assert (method, path) == ("POST", "/v1/chat/completions")
-        assert body == request_body(envelope(), config)
+        expected = request_body(env, config)
+        assert body == bytes(expected)
+        assert headers["Content-Length"] == str(len(expected))
+        assert "Transfer-Encoding" not in headers
         assert headers["Authorization"] == "Bearer sk-key"
         assert headers["Content-Type"] == "application/json"
 
@@ -463,7 +500,8 @@ class TestDefaultTransport:
         sleeps: list[float] = []
         assert complete_text("find entities", config_for(server.url), "key", sleep=sleeps.append) == "DISEASE | gout"
         assert sleeps == [1.0]
-        assert [body for *_, body in server.received] == [request_body("find entities", config_for(server.url))] * 2
+        expected = bytes(request_body("find entities", config_for(server.url)))
+        assert [body for *_, body in server.received] == [expected] * 2
 
     @pytest.mark.parametrize("action", [drop, truncated], ids=["dropped", "truncated"])
     def test_broken_reply_is_transport(self, action, loopback, monkeypatch):

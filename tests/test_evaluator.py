@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import random
 import tempfile
 import threading
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quizeval import evaluator
-from quizeval.client import make_live_completion, open_replay
+from quizeval.client import ClientError, make_live_completion, open_replay
 from quizeval.corpus import load_corpus
 from quizeval.evaluator import (
     RunMetadata,
@@ -232,6 +233,28 @@ class TestRunLoop:
         with pytest.raises(ImageReadError):
             run_evaluation(corpus, RulesOfConduct(), CONFIG, counting, 2, backend="replay", transcript_path=out)
         assert len(calls) <= position + 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["delete", "truncate", "grow"])
+    def test_image_changed_after_its_prompt_aborts_the_run(self, change, tmp_path):
+        corpus = load_corpus(materialize_sample(tmp_path / "sample").manifest)
+        attempts, sleeps = [], []
+
+        def changing(url, body, headers):
+            attempts.append(body.image_path)
+            if len(attempts) == 3:
+                {"delete": os.unlink, "truncate": lambda p: os.truncate(p, 1),
+                 "grow": lambda p: Path(p).write_bytes(Path(p).read_bytes() + b"x")}[change](body.image_path)
+            bytes(body)
+            return 200, json.dumps({"choices": [{"message": {"content": "Correct Choice:A"}}]})
+
+        completion = make_live_completion(CONFIG, "key", transport=changing, sleep=sleeps.append)
+        out = tmp_path / "transcript.json"
+        with pytest.raises(ImageReadError) as excinfo:
+            run_evaluation(corpus, RulesOfConduct(), CONFIG, completion, 1, transcript_path=out)
+        assert not isinstance(excinfo.value, ClientError)
+        # The third question is neither retried nor followed by a fourth.
+        assert len(attempts) == 3 and sleeps == []
         assert not out.exists()
 
     def test_too_deeply_nested_reply_is_one_malformed_verdict(self, sample_corpus):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quizeval import prompting
 from quizeval.corpus import Choice, ImageRef, Question, load_corpus
 from quizeval.prompting import (
     ANSWER_MARKER,
@@ -55,7 +56,20 @@ class TestBuildPrompt:
     def test_image_bytes_match_disk(self, question):
         envelope = build_prompt(question, RulesOfConduct())
         assert envelope.image_bytes == Path(question.image.path).read_bytes()
+        assert envelope.image_path == question.image.path
+        assert envelope.image_size == Path(question.image.path).stat().st_size
         assert envelope.image_media_type == "image/png"
+
+    def test_image_is_not_read(self, question, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_prompt opened a file")
+
+        monkeypatch.setattr(prompting, "open", refuse, raising=False)
+        envelope = build_prompt(question, RulesOfConduct())
+        monkeypatch.undo()
+        # The property reads the file as it is now, not as it was when built.
+        Path(question.image.path).write_bytes(b"new bytes")
+        assert envelope.image_bytes == b"new bytes"
 
     def test_single_choice_question(self, tmp_path):
         image = tmp_path / "img.png"
