@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from itertools import product
+from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -94,6 +96,11 @@ class RunMetadata:
 _VERDICT_FIELD_TYPES, _RUN_FIELD_TYPES = (
     {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()} for cls in (Verdict, RunMetadata)
 )
+# Every tuple of exact types, field by field, that the verdict type check
+# accepts as it is. A verdict whose types are not among them is checked field
+# by field with ``has_json_type``.
+_VERDICT_FIELDS = attrgetter(*_VERDICT_FIELD_TYPES)
+_VERDICT_EXACT_TYPES = frozenset(product(*_VERDICT_FIELD_TYPES.values()))
 
 
 @dataclass(frozen=True)
@@ -255,15 +262,20 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
         raise ValueError("run: manifest_sha256 is not a sha256 hex digest")
     if transcript.run.temperature is not None and not math.isfinite(transcript.run.temperature):
         raise ValueError("run: temperature is not finite")
+    writable: set[str] = set()  # the quiz ids and tags found writable as UTF-8
     for v in transcript.verdicts:
-        for name, types in _VERDICT_FIELD_TYPES.items():
-            if not has_json_type(getattr(v, name), types):
-                raise ValueError(f"verdict for {v.question_id!r}: {name} has the wrong type")
+        if tuple(map(type, _VERDICT_FIELDS(v))) not in _VERDICT_EXACT_TYPES:
+            for name, types in _VERDICT_FIELD_TYPES.items():
+                if not has_json_type(getattr(v, name), types):
+                    raise ValueError(f"verdict for {v.question_id!r}: {name} has the wrong type")
         if not v.domain_tag:
             raise ValueError(f"verdict for {v.question_id!r}: domain_tag is empty")
         for name in ("quiz_id", "domain_tag"):  # both reach the UTF-8 CSV outputs
-            if not is_utf8(getattr(v, name)):
-                raise ValueError(f"verdict for {v.question_id!r}: {name} is not writable as UTF-8")
+            value = getattr(v, name)
+            if value not in writable:
+                if not is_utf8(value):
+                    raise ValueError(f"verdict for {v.question_id!r}: {name} is not writable as UTF-8")
+                writable.add(value)
         if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
             raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
     if doc.get("scores") != scores_to_dict(score(transcript)):

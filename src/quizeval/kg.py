@@ -12,7 +12,7 @@ E / (N(N-1)) for directed ones, undefined when N < 2.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -83,26 +83,30 @@ class GraphMetrics:
 def build_graph(records: Iterable[EntityRecord]) -> EntityGraph:
     """Build the undirected co-occurrence graph: one node per distinct
     entity name, one edge per pair of names sharing at least one group.
+    A name's node type is the type of its least ``(group, type)`` record.
 
     Permutation-invariant over the input records; empty input yields the
     empty graph.
     """
-    by_group: dict[int, set[str]] = {}
-    node_types: dict[str, str] = {}
-    for record in sorted(records, key=lambda r: (r.group, r.entity_type, r.entity_name)):
-        by_group.setdefault(record.group, set()).add(record.entity_name)
-        node_types.setdefault(record.entity_name, record.entity_type)
+    by_group: defaultdict[int, set[str]] = defaultdict(set)
+    least: dict[str, tuple[int, str]] = {}  # name -> its least (group, type)
+    for record in records:
+        name = record.entity_name
+        by_group[record.group].add(name)
+        key = (record.group, record.entity_type)
+        if key < least.setdefault(name, key):
+            least[name] = key
 
     edge_counts: dict[tuple[str, str], int] = {}
-    for _, names in sorted(by_group.items()):
+    for names in by_group.values():
         for pair in combinations(sorted(names), 2):
             edge_counts[pair] = edge_counts.get(pair, 0) + 1
 
     return EntityGraph(
-        nodes=frozenset(node_types),
+        nodes=frozenset(least),
         edges=frozenset(edge_counts),
         directed=False,
-        node_types=node_types,
+        node_types={name: entity_type for name, (_, entity_type) in least.items()},
         edge_counts=edge_counts,
     )
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, count
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
 from .atomic import is_utf8, read_json, write_csv
 from .pool import ordered_map
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
+# Maps each byte of [0-9a-z] to itself and every other byte to a space.
+_WORD_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else ord(" ") for b in range(256))
 
 
 class LexiconError(Exception):
@@ -31,7 +33,7 @@ class ExtractorUnavailableError(Exception):
     """The requested extraction strategy has no working backend."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     """One extracted entity occurrence.
 
@@ -46,7 +48,10 @@ class EntityRecord:
 
 
 def _tokens(text: str) -> list[str]:
-    return _WORD_RE.findall(text.casefold())
+    """The words of ``text``: maximal runs of ASCII letters and digits after
+    Unicode case folding. A non-ASCII character becomes "?", so it separates
+    words like any other character outside ``[a-z0-9]``."""
+    return text.casefold().encode("ascii", "replace").translate(_WORD_BYTES).decode("ascii").split()
 
 
 def normalize_name(raw: str) -> str:
@@ -125,19 +130,20 @@ class GazetteerExtractor:
         index, lengths_by_first = self.lexicon._index, self.lexicon._lengths_by_first
         toks = _tokens(text)
         found: list[tuple[str, str]] = []
-        i = 0
         n = len(toks)
-        while i < n:
-            for length in lengths_by_first.get(toks[i], ()):
+        end = 0  # the words before ``end`` are consumed by a match
+        # Only a word that starts some pattern can start a match.
+        for i in compress(count(), map(lengths_by_first.__contains__, toks)):
+            if i < end:
+                continue
+            for length in lengths_by_first[toks[i]]:
                 if i + length > n:
                     continue
                 hit = index.get(tuple(toks[i : i + length]))
                 if hit is not None:
                     found.append(hit)
-                    i += length
+                    end = i + length
                     break
-            else:
-                i += 1
         return found
 
 
@@ -200,21 +206,22 @@ def extract_from_transcript(transcript, extractor: Extractor, parallelism: int =
     return [record for group in groups for record in group]
 
 
-def entity_frequencies(
-    records: Iterable[EntityRecord], type_filter: str, from_correct: bool
-) -> dict[str, int]:
-    """Name -> number of groups in which it occurs (presence per group, not
-    token count), for one entity type and branch. Ordered by descending
-    count, then name."""
-    groups_by_name: dict[str, set[int]] = {}
+def entity_frequencies(records: Iterable[EntityRecord]) -> dict[str, dict[str, dict[str, int]]]:
+    """Branch ("correct" or "incorrect") -> entity type -> name -> number of
+    groups in which the name occurs (presence per group, not token count),
+    from one pass over the records. Both branches have a table for every type
+    seen in either, in type order; each table is ordered by descending count,
+    then name."""
+    groups: dict[tuple[bool, str, str], set[int]] = {}
     for record in records:
-        if record.entity_type != type_filter or record.from_correct != from_correct:
-            continue
-        groups_by_name.setdefault(record.entity_name, set()).add(record.group)
-    return {
-        name: len(groups)
-        for name, groups in sorted(groups_by_name.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        groups.setdefault((record.from_correct, record.entity_type, record.entity_name), set()).add(record.group)
+    types = sorted({entity_type for _, entity_type, _ in groups})
+    tables: dict[str, dict[str, dict[str, int]]] = {
+        branch: {entity_type: {} for entity_type in types} for branch in ("correct", "incorrect")
     }
+    for (from_correct, entity_type, name), ids in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0][2])):
+        tables["correct" if from_correct else "incorrect"][entity_type][name] = len(ids)
+    return tables
 
 
 def write_records_csv(records: Iterable[EntityRecord], path: str | Path) -> Path:

@@ -137,7 +137,6 @@ def build_report(
     correct_metrics = compute_metrics(correct_graph, k=top_k)
     incorrect_metrics = compute_metrics(incorrect_graph, k=top_k)
 
-    types = sorted({r.entity_type for r in entity_records})
     document = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "run": asdict(transcript.run),
@@ -148,10 +147,7 @@ def build_report(
             "incorrect_only_tags": sorted(ima_report.incorrect_only_tags),
             "error_rate": {t: _r4(r) for t, r in ima_report.per_tag_error_rate.items()},
         },
-        "entity_frequencies": {
-            "correct": {t: entity_frequencies(entity_records, t, True) for t in types},
-            "incorrect": {t: entity_frequencies(entity_records, t, False) for t in types},
-        },
+        "entity_frequencies": entity_frequencies(entity_records),
         "graphs": {
             "correct": _graph_to_obj(correct_graph),
             "incorrect": _graph_to_obj(incorrect_graph),

@@ -2,7 +2,9 @@
 
 Nothing here shares code with the package: density counts pairs directly,
 components come from a full pairwise reachability closure, degrees from a
-plain edge scan, gazetteer matches from exhaustive span enumeration,
+plain edge scan, words from the regular expression that defines them,
+gazetteer matches from exhaustive span enumeration, entity frequencies from
+one scan of the records per (type, branch) table,
 request bodies from one ``json.dumps`` of the whole payload, the answer
 letter from a left-to-right scan over every marker occurrence, the answer
 key from a full ``json.loads`` of the manifest and a walk that checks each
@@ -74,6 +76,26 @@ def bf_clique_edges(groups: dict[int, set[str]]) -> set[tuple[str, str]]:
         for pair in combinations(sorted(names), 2):
             edges.add(pair)
     return edges
+
+
+def bf_tokens(text: str) -> list[str]:
+    """The words of ``text``: maximal runs of ``[a-z0-9]`` after Unicode case
+    folding."""
+    return re.findall(r"[a-z0-9]+", text.casefold())
+
+
+def bf_entity_frequencies(records, type_filter: str, from_correct: bool) -> dict[str, int]:
+    """One (type, branch) table: name -> number of distinct groups naming it,
+    from a scan of every record, ordered by descending count, then name."""
+    groups_by_name: dict[str, set[int]] = {}
+    for record in records:
+        if record.entity_type != type_filter or record.from_correct != from_correct:
+            continue
+        groups_by_name.setdefault(record.entity_name, set()).add(record.group)
+    return {
+        name: len(groups)
+        for name, groups in sorted(groups_by_name.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    }
 
 
 def bf_longest_matches(

@@ -38,3 +38,5 @@ def test_tracer_installs_on_run_and_analyze(sample_paths, tmp_path):
                             "--manifest", str(sample_paths.manifest), "--out", str(analysis_out))
     assert (spans["load_transcript"], spans["build_report"]) == (1, 1)
     assert spans["export"] == 4
+    assert (spans["extract_from_transcript"], spans["build_graph"], spans["compute_metrics"]) == (1, 2, 2)
+    assert (spans["analyze_images"], spans["write_records_csv"]) == (1, 1)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import tempfile
 import threading
 import time
@@ -399,6 +400,10 @@ class TestTranscriptSharing:
         assert kept < 0.9 * path.stat().st_size
 
 
+class _Text(str):
+    """A string whose exact type no verdict field names."""
+
+
 class TestTranscriptValidation:
     """Every malformed transcript document is a ValueError, never a raw
     TypeError/KeyError or a silently accepted run."""
@@ -424,10 +429,27 @@ class TestTranscriptValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("analysis_text", 5), ("question_id", None), ("extracted_letter", 7), ("error", ["x"]), ("is_correct", 0),
+        ("is_correct", 1),
     ])
     def test_field_of_wrong_type(self, doc, field, value):
         doc["verdicts"][2][field] = value
         with pytest.raises(ValueError, match=f"{field} has the wrong type"):
+            transcript_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("extracted_letter", None), ("error", None), ("error", "ParseFailure"), ("raw_response", _Text("r")),
+    ])
+    def test_field_of_right_type_accepted(self, doc, field, value):
+        ordinal = next(i for i, v in enumerate(doc["verdicts"]) if not v["is_correct"])
+        doc["verdicts"][ordinal][field] = value
+        assert getattr(transcript_from_dict(doc).verdicts[ordinal], field) is value
+
+    @pytest.mark.parametrize("field", ["quiz_id", "domain_tag"])
+    def test_unwritable_value_shared_by_several_verdicts_names_the_first(self, doc, field):
+        for ordinal in (3, 5, 8):
+            doc["verdicts"][ordinal][field] = "\ud800"
+        first = doc["verdicts"][3]["question_id"]
+        with pytest.raises(ValueError, match=re.escape(f"verdict for {first!r}: {field} is not writable as UTF-8")):
             transcript_from_dict(doc)
 
     @pytest.mark.parametrize("field, value", [

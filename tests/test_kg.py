@@ -90,6 +90,16 @@ class TestBuildGraph:
         graph = build_graph([record("a", 0, "ORGAN"), record("b", 0, "DISEASE")])
         assert graph.node_types == {"a": "ORGAN", "b": "DISEASE"}
 
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3), st.sampled_from(["DISEASE", "ORGAN"])),
+                    max_size=12).flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+    def test_node_type_is_that_of_the_least_group_and_type(self, drawn):
+        rows, permuted = drawn
+        graph = build_graph([record(name, group, entity_type) for name, group, entity_type in permuted])
+        assert graph.node_types == {
+            name: min((group, entity_type) for n, group, entity_type in rows if n == name)[1]
+            for name, _, _ in rows
+        }
+
 
 class TestDensity:
     def test_direct_substitution(self):

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quizeval.evaluator import RunMetadata, RunTranscript, Verdict
@@ -14,13 +14,14 @@ from quizeval.ner import (
     GazetteerExtractor,
     LexiconError,
     LlmExtractor,
+    _tokens,
     entity_frequencies,
     extract_from_transcript,
     load_default_lexicon,
     normalize_name,
 )
 
-from .bruteforce import bf_longest_matches
+from .bruteforce import bf_entity_frequencies, bf_longest_matches, bf_tokens
 from .conftest import fake_entity_reply
 
 LEXICON = EntityLexicon(
@@ -32,6 +33,30 @@ LEXICON = EntityLexicon(
     }
 )
 GAZETTEER = GazetteerExtractor(LEXICON)
+
+
+class TestTokens:
+    @given(st.text() | st.text(st.characters() | st.characters(categories=["Cs"])))  # Cs: lone surrogates
+    def test_matches_the_regex_definition(self, text):
+        assert _tokens(text) == bf_tokens(text)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("Straße", ["strasse"]),  # ß folds to "ss"
+        ("İris", ["i", "ris"]),  # İ folds to "i" and a combining dot
+        ("\u212a", ["k"]),  # the Kelvin sign folds to "k"
+        ("ſ", ["s"]),
+        ("ﬁbrosis", ["fibrosis"]),
+        ("Sjögren", ["sj", "gren"]),
+        ("caf\u00e9", ["caf"]),
+        ("a\ud800b", ["a", "b"]),  # a lone surrogate
+        ("\ud800", []),
+        ("a\x1cb\x1dc\x1ed\x1fe", ["a", "b", "c", "d", "e"]),
+        ("heart\xa0liver\x85lung", ["heart", "liver", "lung"]),  # NBSP and NEL
+        ("heart\U0001f600liver", ["heart", "liver"]),
+        ("HEART2, Liver-3", ["heart2", "liver", "3"]),
+    ])
+    def test_pinned_cases(self, text, expected):
+        assert _tokens(text) == bf_tokens(text) == expected
 
 
 class TestNormalization:
@@ -68,21 +93,27 @@ class TestGazetteer:
         ]
 
     def test_matches_against_brute_force_oracle(self):
-        # Random word soup from pattern fragments and noise, checked against
-        # exhaustive span enumeration.
+        # Random soup of pattern fragments, noise and glued words, in mixed
+        # case, joined by punctuation and non-ASCII characters, checked
+        # against exhaustive span enumeration over the oracle's words.
         rng = random.Random(1234)
         pattern_words = ["severe", "occlusive", "aneurysm", "atherosclerotic", "coronary",
                          "artery", "heart", "dissection", "atherosclerosis", "liver"]
-        noise = ["the", "with", "of", "chronic", "acute", "seen", "shows", "patient"]
+        noise = ["the", "with", "of", "chronic", "acute", "seen", "shows", "patient",
+                 "aneurysms", "heart2", "2heart", "liverish"]
+        joins = [" ", "  ", ", ", ".", "-", "/", "\n", "\t", "\xa0", "\x85", "\x1c", "é", "ö", "—",
+                 "\U0001f600", "\ud800", "ß", ""]
+        cases = [str.lower, str.upper, str.title, str.swapcase]
         index = {}
         for entity_type, patterns in LEXICON.entries.items():
             for pattern in patterns:
                 index[tuple(pattern.split())] = (entity_type, normalize_name(pattern))
-        for _ in range(300):
-            words = [rng.choice(pattern_words + noise) for _ in range(rng.randint(0, 20))]
-            text = " ".join(words)
-            expected = bf_longest_matches(words, index)
-            assert GAZETTEER.extract(text) == expected, text
+        for _ in range(500):
+            text = ""
+            for _ in range(rng.randint(0, 20)):
+                text += rng.choice(cases)(rng.choice(pattern_words + noise)) + rng.choice(joins)
+            expected = bf_longest_matches(bf_tokens(text), index)
+            assert GAZETTEER.extract(text) == expected, repr(text)
 
     def test_deterministic(self):
         text = "dissection after myocardial infarction in the heart"
@@ -151,6 +182,13 @@ class TestTranscriptExtraction:
         assert sorted(records, key=str) == sorted(shuffled, key=str)
 
 
+_RECORDS = st.lists(
+    st.builds(EntityRecord, st.sampled_from(["CONDITION", "ORGAN", "DISEASE"]), st.sampled_from(["A", "B", "C"]),
+              st.integers(0, 5), st.booleans()),
+    max_size=30,
+)
+
+
 class TestEntityFrequencies:
     def test_counts_groups_not_tokens(self):
         records = [
@@ -161,27 +199,44 @@ class TestEntityFrequencies:
             EntityRecord("CONDITION", "Aneurysm", 2, True),
             EntityRecord("ORGAN", "Heart", 0, False),
         ]
-        assert entity_frequencies(records, "CONDITION", False) == {"Aneurysm": 2, "Dissection": 1}
+        assert entity_frequencies(records)["incorrect"]["CONDITION"] == {"Aneurysm": 2, "Dissection": 1}
 
     def test_empty(self):
-        assert entity_frequencies([], "CONDITION", True) == {}
+        assert entity_frequencies([]) == {"correct": {}, "incorrect": {}}
 
     def test_repeated_record_counts_once(self):
         record = EntityRecord("CONDITION", "Aneurysm", 5, True)
-        assert entity_frequencies([record, record], "CONDITION", True) == {"Aneurysm": 1}
+        assert entity_frequencies([record, record])["correct"]["CONDITION"] == {"Aneurysm": 1}
 
     @given(st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), st.integers(0, 5)), max_size=30))
     def test_counts_bounded_by_distinct_groups(self, pairs):
         records = [EntityRecord("CONDITION", name, group, True) for name, group in pairs]
         distinct_groups = len({r.group for r in records})
-        for count in entity_frequencies(records, "CONDITION", True).values():
+        for count in entity_frequencies(records)["correct"].get("CONDITION", {}).values():
             assert count <= distinct_groups
+
+    @example([EntityRecord("CONDITION", "A", 1, False)] * 2)  # a duplicate record
+    @example([EntityRecord("CONDITION", "A", 1, False), EntityRecord("ORGAN", "A", 1, False),
+              EntityRecord("ORGAN", "A", 2, True)])  # one name under two types
+    @example([EntityRecord("CONDITION", "A", 0, True), EntityRecord("ORGAN", "B", 1, False)])  # one branch each
+    @given(_RECORDS)
+    def test_one_pass_equals_a_scan_per_table(self, records):
+        types = sorted({r.entity_type for r in records})
+        expected = {
+            branch: {t: bf_entity_frequencies(records, t, branch == "correct") for t in types}
+            for branch in ("correct", "incorrect")
+        }
+
+        def in_order(tables):  # every key and count, in the order the tables hold them
+            return [(branch, t, list(table.items())) for branch, by_type in tables.items() for t, table in by_type.items()]
+
+        assert in_order(entity_frequencies(records)) == in_order(expected)
 
 
 class TestSampleRunExtraction:
     def test_incorrect_branch_condition_support(self, sample_transcript):
         records = extract_from_transcript(sample_transcript, GazetteerExtractor(load_default_lexicon()))
-        support = set(entity_frequencies(records, "CONDITION", False))
+        support = set(entity_frequencies(records)["incorrect"]["CONDITION"])
         assert support >= {
             "Severe Occlusive", "Atherosclerotic Aneurysm", "Cachexia",
             "Cystic Medial Necrosis", "Dissection", "Hyperbilirubinemia",
