@@ -179,12 +179,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         corpus, rules, config, completion, parallelism,
         backend=args.backend, transcript_path=transcript_path,
     )
-    summary = score(transcript)
+    scores = score(transcript)
     print(f"{'quiz':<12}{'correct':>8}{'total':>7}")
-    for quiz_score in summary.per_quiz:
-        print(f"{quiz_score.quiz_id:<12}{quiz_score.correct:>8}{quiz_score.total:>7}")
-    print(f"total {summary.correct}/{summary.total} ({summary.ratio * 100:.2f}%)")
-    print(f"ratio {summary.ratio:.4f}")
+    for quiz in scores["per_quiz"]:
+        print(f"{quiz['quiz_id']:<12}{quiz['correct']:>8}{quiz['total']:>7}")
+    print(f"total {scores['correct']}/{scores['total']} ({scores['ratio'] * 100:.2f}%)")
+    print(f"ratio {scores['ratio']:.4f}")
     print(f"transcript written to {transcript_path}")
     return EXIT_OK
 

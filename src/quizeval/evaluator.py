@@ -9,9 +9,8 @@ and graph stages consume.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import product
 from operator import attrgetter
@@ -22,7 +21,7 @@ from .atomic import has_json_type, is_utf8, read_json, write_json
 from .client import ClientError, CompletionFn
 from .corpus import Question, QuizCorpus
 from .pool import ordered_map
-from .prompting import EngineConfig, RulesOfConduct, build_prompt
+from .prompting import EngineConfig, MarkerMissingError, RulesOfConduct, build_prompt
 
 TRANSCRIPT_SCHEMA_VERSION = 2
 
@@ -104,21 +103,6 @@ _VERDICT_EXACT_TYPES = frozenset(product(*_VERDICT_FIELD_TYPES.values()))
 
 
 @dataclass(frozen=True)
-class QuizScore:
-    quiz_id: str
-    correct: int
-    total: int
-
-
-@dataclass(frozen=True)
-class ScoreSummary:
-    per_quiz: tuple[QuizScore, ...]
-    correct: int
-    total: int
-    ratio: float
-
-
-@dataclass(frozen=True)
 class RunTranscript:
     run: RunMetadata
     verdicts: tuple[Verdict, ...]
@@ -195,43 +179,36 @@ def run_evaluation(
     return transcript
 
 
-def score(transcript: RunTranscript) -> ScoreSummary:
-    """Per-quiz (correct, total) pairs plus the overall ratio.
+def score(transcript: RunTranscript) -> dict:
+    """The ``scores`` block that transcript.json and report.json both hold:
+    ``per_quiz`` (quiz id, correct, total, in first-seen order) and the
+    overall ``correct``, ``total`` and ``ratio``.
 
-    The ratio is correct/total rounded to 4 decimal places; an empty
-    transcript scores 0 questions with ratio 0.0 rather than dividing by
-    zero.
+    The ratio is correct/total rounded to 4 decimal places, as both
+    documents store it; an empty transcript scores 0 questions with ratio
+    0.0 rather than dividing by zero.
     """
     counts: dict[str, list[int]] = {}  # quiz id -> [correct, total], in first-seen order
     for verdict in transcript.verdicts:
         tally = counts.setdefault(verdict.quiz_id, [0, 0])
         tally[0] += verdict.is_correct
         tally[1] += 1
-    per_quiz = tuple(QuizScore(qid, correct, total) for qid, (correct, total) in counts.items())
-    total = sum(s.total for s in per_quiz)
-    correct = sum(s.correct for s in per_quiz)
-    ratio = round(correct / total, 4) if total else 0.0
-    return ScoreSummary(per_quiz=per_quiz, correct=correct, total=total, ratio=ratio)
-
-
-def scores_to_dict(summary: ScoreSummary) -> dict:
-    """The serialised form of a score summary, in the transcript and the report alike."""
+    correct, total = sum(c for c, _ in counts.values()), len(transcript.verdicts)
     return {
-        "per_quiz": [{"quiz_id": s.quiz_id, "correct": s.correct, "total": s.total} for s in summary.per_quiz],
-        "correct": summary.correct,
-        "total": summary.total,
-        "ratio": summary.ratio,
+        "per_quiz": [{"quiz_id": qid, "correct": c, "total": t} for qid, (c, t) in counts.items()],
+        "correct": correct,
+        "total": total,
+        "ratio": round(correct / total, 4) if total else 0.0,
     }
 
 
 def transcript_to_dict(transcript: RunTranscript) -> dict:
     # Every verdict field is immutable, so asdict's deep copy would only cost time.
-    names = [f.name for f in fields(Verdict)]
     return {
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
         "run": asdict(transcript.run),
-        "verdicts": [{name: getattr(v, name) for name in names} for v in transcript.verdicts],
-        "scores": scores_to_dict(score(transcript)),
+        "verdicts": [{name: getattr(v, name) for name in _VERDICT_FIELD_TYPES} for v in transcript.verdicts],
+        "scores": score(transcript),
     }
 
 
@@ -239,9 +216,10 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
     """Rebuild a version-2 or version-1 transcript; any malformed document
     raises ValueError: wrong shape (the message names ``source``) or keys, a
     run or verdict field of the wrong JSON type, a version-2 manifest digest
-    that is not a sha256 hex digest, a non-finite temperature, an empty domain
-    tag, a verdict whose ``is_correct`` breaks the scoring rule, or stored
-    scores that differ from the verdicts' scores. A version-1 run's
+    that is not a sha256 hex digest, engine settings or rules text that
+    ``run`` would refuse (see ``EngineConfig`` and ``RulesOfConduct``), an
+    empty domain tag, a verdict whose ``is_correct`` breaks the scoring rule,
+    or stored scores that differ from the verdicts' scores. A version-1 run's
     ``payload_order`` is accepted and dropped, and its digest is None."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     # has_json_type, because true == 1 and 2.0 == 2 in Python.
@@ -260,8 +238,12 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
             raise ValueError(f"run: {name} has the wrong type")
     if version != 1 and not _SHA256_RE.fullmatch(transcript.run.manifest_sha256 or ""):
         raise ValueError("run: manifest_sha256 is not a sha256 hex digest")
-    if transcript.run.temperature is not None and not math.isfinite(transcript.run.temperature):
-        raise ValueError("run: temperature is not finite")
+    meta = transcript.run
+    try:
+        EngineConfig(meta.model_id, meta.max_tokens, meta.endpoint_url, meta.temperature)
+        RulesOfConduct(meta.rules_text)
+    except (ValueError, MarkerMissingError) as exc:
+        raise ValueError(f"run: {exc}") from exc
     writable: set[str] = set()  # the quiz ids and tags found writable as UTF-8
     for v in transcript.verdicts:
         if tuple(map(type, _VERDICT_FIELDS(v))) not in _VERDICT_EXACT_TYPES:
@@ -278,7 +260,7 @@ def transcript_from_dict(doc: dict, source: str = "document") -> RunTranscript:
                 writable.add(value)
         if v.is_correct != (v.extracted_letter is not None and v.extracted_letter == v.correct_letter):
             raise ValueError(f"verdict for {v.question_id!r}: is_correct contradicts its letters")
-    if doc.get("scores") != scores_to_dict(score(transcript)):
+    if doc.get("scores") != score(transcript):
         raise ValueError("stored scores differ from the scores of the verdicts")
     return transcript
 

@@ -8,21 +8,13 @@ the raw counts (raw counts mislead when tag frequencies differ: 2 wrong of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .evaluator import RunTranscript
 
 
-@dataclass(frozen=True)
-class IMAReport:
-    correct_hist: dict[str, int]
-    incorrect_hist: dict[str, int]
-    incorrect_only_tags: frozenset[str]
-    per_tag_error_rate: dict[str, float]
-
-
-def analyze_images(transcript: RunTranscript) -> IMAReport:
-    """Partition verdicts by correctness into tag histograms.
+def analyze_images(transcript: RunTranscript) -> dict:
+    """The ``ima`` section of report.json: the ``correct`` and ``incorrect``
+    tag histograms, the sorted ``incorrect_only_tags``, and the per-tag
+    ``error_rate``, exact here; ``reporting.build_report`` rounds it.
 
     Invariant under verdict reordering; error rates are incorrect over
     (correct + incorrect) per tag, in [0, 1], and exactly 1.0 for
@@ -33,13 +25,12 @@ def analyze_images(transcript: RunTranscript) -> IMAReport:
     for verdict in transcript.verdicts:
         hist = correct if verdict.is_correct else incorrect
         hist[verdict.domain_tag] = hist.get(verdict.domain_tag, 0) + 1
-    rates = {
-        tag: incorrect.get(tag, 0) / (correct.get(tag, 0) + incorrect.get(tag, 0))
-        for tag in sorted(set(correct) | set(incorrect))
+    return {
+        "correct": dict(sorted(correct.items())),
+        "incorrect": dict(sorted(incorrect.items())),
+        "incorrect_only_tags": sorted(incorrect.keys() - correct.keys()),
+        "error_rate": {
+            tag: incorrect.get(tag, 0) / (correct.get(tag, 0) + incorrect.get(tag, 0))
+            for tag in sorted(correct.keys() | incorrect.keys())
+        },
     }
-    return IMAReport(
-        correct_hist=dict(sorted(correct.items())),
-        incorrect_hist=dict(sorted(incorrect.items())),
-        incorrect_only_tags=frozenset(incorrect) - frozenset(correct),
-        per_tag_error_rate=rates,
-    )

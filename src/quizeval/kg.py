@@ -71,15 +71,6 @@ class EntityGraph:
         )
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    node_count: int
-    edge_count: int
-    density: float | None
-    component_count: int
-    top_degree: tuple[tuple[str, int], ...]
-
-
 def build_graph(records: Iterable[EntityRecord]) -> EntityGraph:
     """Build the undirected co-occurrence graph: one node per distinct
     entity name, one edge per pair of names sharing at least one group.
@@ -165,20 +156,22 @@ def top_degree(graph: EntityGraph, k: int) -> list[tuple[str, int]]:
     return ranked[:k]
 
 
-def compute_metrics(graph: EntityGraph, k: int = 5) -> GraphMetrics:
-    """Bundle density (None when undefined), component count, and the top-k
-    degree ranking."""
+def compute_metrics(graph: EntityGraph, k: int = 5) -> dict:
+    """One branch of report.json's ``metrics`` section: ``nodes``,
+    ``edges``, ``density`` (exact here, None when undefined;
+    ``reporting.build_report`` rounds it), ``components``, and
+    ``top_degree``, the top-k degree ranking as ``[name, degree]`` lists."""
     try:
         dens: float | None = density(graph)
     except UndefinedDensityError:
         dens = None
-    return GraphMetrics(
-        node_count=len(graph.nodes),
-        edge_count=len(graph.edges),
-        density=dens,
-        component_count=len(connected_components(graph)),
-        top_degree=tuple(top_degree(graph, k)) if graph.nodes else (),
-    )
+    return {
+        "nodes": len(graph.nodes),
+        "edges": len(graph.edges),
+        "density": dens,
+        "components": len(connected_components(graph)),
+        "top_degree": [[name, deg] for name, deg in top_degree(graph, k)] if graph.nodes else [],
+    }
 
 
 def _dot_quote(name: str) -> str:

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .atomic import write_atomic, write_csv, write_json
-from .evaluator import RunTranscript, score, scores_to_dict
-from .ima import IMAReport, analyze_images
-from .kg import EntityGraph, GraphMetrics, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
+from .evaluator import RunTranscript, score
+from .ima import analyze_images
+from .kg import EntityGraph, build_graph, compute_metrics, graph_to_dot, graph_to_graphml
 from .ner import EntityRecord, entity_frequencies
 
 REPORT_SCHEMA_VERSION = 1
@@ -62,53 +62,52 @@ def _check_same_run(transcript: RunTranscript, records: list[EntityRecord]) -> N
 
 
 def derive_requirements(
-    ima_report: IMAReport,
-    correct_metrics: GraphMetrics,
-    incorrect_metrics: GraphMetrics,
+    ima: dict,
+    correct_metrics: dict,
+    incorrect_metrics: dict,
     *,
     tag_threshold: int = DEFAULT_TAG_THRESHOLD,
 ) -> list[dict]:
     """Derive the report's requirement entries, ``{"kind", "subject",
-    "evidence"}`` (a pure function of the report tables).
+    "evidence"}``, from the exact ``ima`` section and the two branches'
+    exact ``metrics`` (as ``analyze_images`` and ``compute_metrics`` return
+    them, before ``build_report`` rounds them).
 
-    The densities are compared unrounded; the evidence holds them rounded,
-    as the metrics table does. The high-degree failure entities are
-    ``incorrect_metrics.top_degree``, so their number is the ``k`` those
-    metrics were computed with."""
+    The densities are compared unrounded; the evidence holds them and the
+    error rates rounded, as the report's tables do. The high-degree failure
+    entities are ``incorrect_metrics["top_degree"]``, so their number is the
+    ``k`` those metrics were computed with."""
 
     def tag_path(kind: str, tag: str) -> dict:
         return {
             "kind": kind,
             "subject": tag,
             "evidence": {
-                "incorrect": ima_report.incorrect_hist[tag],
-                "correct": ima_report.correct_hist.get(tag, 0),
-                "error_rate": _r4(ima_report.per_tag_error_rate[tag]),
+                "incorrect": ima["incorrect"][tag],
+                "correct": ima["correct"].get(tag, 0),
+                "error_rate": _r4(ima["error_rate"][tag]),
             },
         }
 
-    paths = [tag_path(KIND_INCORRECT_ONLY_TAG, tag) for tag in sorted(ima_report.incorrect_only_tags)]
+    paths = [tag_path(KIND_INCORRECT_ONLY_TAG, tag) for tag in ima["incorrect_only_tags"]]
     concentrated = sorted(
-        (tag for tag, n in ima_report.incorrect_hist.items() if n >= tag_threshold),
-        key=lambda tag: (-ima_report.incorrect_hist[tag], tag),
+        (tag for tag, n in ima["incorrect"].items() if n >= tag_threshold),
+        key=lambda tag: (-ima["incorrect"][tag], tag),
     )
     paths.extend(tag_path(KIND_TAG_CONCENTRATION, tag) for tag in concentrated)
     paths.extend(
         {"kind": KIND_HIGH_DEGREE_FAILURE, "subject": name, "evidence": {"degree": degree}}
-        for name, degree in incorrect_metrics.top_degree
+        for name, degree in incorrect_metrics["top_degree"]
     )
-    if (
-        correct_metrics.density is not None
-        and incorrect_metrics.density is not None
-        and incorrect_metrics.density > correct_metrics.density
-    ):
+    correct_density, incorrect_density = correct_metrics["density"], incorrect_metrics["density"]
+    if correct_density is not None and incorrect_density is not None and incorrect_density > correct_density:
         paths.append(
             {
                 "kind": KIND_DENSE_FAILURE_CLUSTER,
                 "subject": "incorrect-branch",
                 "evidence": {
-                    "incorrect_density": _r4(incorrect_metrics.density),
-                    "correct_density": _r4(correct_metrics.density),
+                    "incorrect_density": _r4(incorrect_density),
+                    "correct_density": _r4(correct_density),
                 },
             }
         )
@@ -124,14 +123,16 @@ def build_report(
 ) -> AnalysisReport:
     """Analyse one run: tag histograms, per-branch entity frequencies,
     graphs and metrics (top ``top_k`` nodes by degree), and the derived
-    requirements, built once into report.json's document.
+    requirements, built once into report.json's document. The analysis
+    functions return exact values; this is the one place that rounds the
+    error rates and densities to 4 decimals.
 
     ``entity_records`` are the run's extracted entities (see
     ``ner.extract_from_transcript``); a RunMismatchError is raised when
     one of them does not belong to a verdict of ``transcript``.
     """
     _check_same_run(transcript, entity_records)
-    ima_report = analyze_images(transcript)
+    ima = analyze_images(transcript)
     correct_graph = build_graph([r for r in entity_records if r.from_correct])
     incorrect_graph = build_graph([r for r in entity_records if not r.from_correct])
     correct_metrics = compute_metrics(correct_graph, k=top_k)
@@ -140,25 +141,18 @@ def build_report(
     document = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "run": asdict(transcript.run),
-        "scores": scores_to_dict(score(transcript)),
-        "ima": {
-            "correct": ima_report.correct_hist,
-            "incorrect": ima_report.incorrect_hist,
-            "incorrect_only_tags": sorted(ima_report.incorrect_only_tags),
-            "error_rate": {t: _r4(r) for t, r in ima_report.per_tag_error_rate.items()},
-        },
+        "scores": score(transcript),
+        "ima": {**ima, "error_rate": {tag: _r4(rate) for tag, rate in ima["error_rate"].items()}},
         "entity_frequencies": entity_frequencies(entity_records),
         "graphs": {
             "correct": _graph_to_obj(correct_graph),
             "incorrect": _graph_to_obj(incorrect_graph),
         },
         "metrics": {
-            "correct": _metrics_to_obj(correct_metrics),
-            "incorrect": _metrics_to_obj(incorrect_metrics),
+            "correct": {**correct_metrics, "density": _r4(correct_metrics["density"])},
+            "incorrect": {**incorrect_metrics, "density": _r4(incorrect_metrics["density"])},
         },
-        "requirements": derive_requirements(
-            ima_report, correct_metrics, incorrect_metrics, tag_threshold=tag_threshold
-        ),
+        "requirements": derive_requirements(ima, correct_metrics, incorrect_metrics, tag_threshold=tag_threshold),
     }
     return AnalysisReport(document, correct_graph, incorrect_graph)
 
@@ -172,16 +166,6 @@ def _graph_to_obj(graph: EntityGraph) -> dict:
             {"source": a, "target": b, "count": graph.edge_counts.get((a, b), 1)}
             for a, b in sorted(graph.edges)
         ],
-    }
-
-
-def _metrics_to_obj(metrics: GraphMetrics) -> dict:
-    return {
-        "nodes": metrics.node_count,
-        "edges": metrics.edge_count,
-        "density": _r4(metrics.density),
-        "components": metrics.component_count,
-        "top_degree": [[name, deg] for name, deg in metrics.top_degree],
     }
 
 

@@ -345,6 +345,21 @@ class TestAnalyze:
         assert code == 1
         assert f"error: RunMismatchError: verdict for {first.question_id!r} disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", ["dropped", "duplicated"])
+    def test_verdicts_for_another_question_set(self, change, analyzed, sample_paths, tmp_path, capsys):
+        run_out, _ = analyzed
+        transcript = load_transcript(run_out / "transcript.json")
+        verdicts = transcript.verdicts[1:] if change == "dropped" else transcript.verdicts + transcript.verdicts[:1]
+        # save_transcript stores the scores of these verdicts, so the transcript's own checks pass.
+        changed = save_transcript(dataclasses.replace(transcript, verdicts=verdicts), tmp_path / "changed.json")
+        code = run_cli("analyze", "--transcript", str(changed), "--manifest", str(sample_paths.manifest),
+                       "--out", str(tmp_path / "changed-out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: RunMismatchError: transcript and corpus cover different question sets\n"
+        )
+        assert not (tmp_path / "changed-out").exists()
+
     @staticmethod
     def _setting_below_one_costs_no_calls(flag, value, source, run_out, sample_paths, tmp_path, capsys, monkeypatch):
         calls = []

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -109,7 +110,7 @@ class TestRunEvaluation:
         corpus, completion = tiny_corpus(manifest_factory, responses)
         transcript = run_evaluation(corpus, RulesOfConduct(), CONFIG, completion, 1, backend="replay")
         assert all(v.is_correct for v in transcript.verdicts)
-        assert score(transcript).ratio == 1.0
+        assert score(transcript)["ratio"] == 1.0
 
     def test_one_verdict_per_question_despite_failures(self, manifest_factory):
         responses = {"q0": "Correct Choice:A", "q2": "Correct Choice:C"}  # q1 missing
@@ -147,7 +148,7 @@ class TestRunEvaluation:
         )
         assert transcript.verdicts == ()
         summary = score(transcript)
-        assert summary.total == 0 and summary.ratio == 0.0
+        assert summary["total"] == 0 and summary["ratio"] == 0.0
 
     def test_parallelism_invariance(self, sample_paths, sample_corpus):
         completion = open_replay(sample_paths.fixture)
@@ -303,23 +304,23 @@ class TestScore:
     def test_published_style_ratio(self):
         transcript = self.make_transcript({"a": (33, 40), "b": (33, 39)})
         summary = score(transcript)
-        assert (summary.correct, summary.total) == (66, 79)
-        assert summary.ratio == 0.8354
+        assert (summary["correct"], summary["total"]) == (66, 79)
+        assert summary["ratio"] == 0.8354
 
     def test_perfect_quiz(self):
         summary = score(self.make_transcript({"a": (10, 10)}))
-        assert summary.ratio == 1.0
-        assert summary.per_quiz[0].correct == 10
+        assert summary["ratio"] == 1.0
+        assert summary["per_quiz"][0]["correct"] == 10
 
     def test_all_wrong(self):
         summary = score(self.make_transcript({"a": (0, 7)}))
-        assert summary.ratio == 0.0
+        assert summary["ratio"] == 0.0
 
     def test_totals_are_sums(self):
         transcript = self.make_transcript({"a": (3, 5), "b": (2, 4), "c": (0, 1)})
         summary = score(transcript)
-        assert summary.correct == sum(s.correct for s in summary.per_quiz)
-        assert summary.total == sum(s.total for s in summary.per_quiz)
+        assert summary["correct"] == sum(s["correct"] for s in summary["per_quiz"])
+        assert summary["total"] == sum(s["total"] for s in summary["per_quiz"])
 
 
 class TestPersistence:
@@ -471,7 +472,7 @@ class TestTranscriptValidation:
         doc["run"]["temperature"] = temperature
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json.loads accepts
-        with pytest.raises(ValueError, match="run: temperature is not finite"):
+        with pytest.raises(ValueError, match="run: temperature must be a finite number >= 0"):
             load_transcript(path)
 
     def test_empty_domain_tag(self, doc):
@@ -540,9 +541,12 @@ def _verdicts(draw):
 
 
 def _transcripts(min_verdicts: int = 0):
+    """Transcripts whose run settings are ones ``run`` can write."""
     run = st.builds(
-        RunMetadata, model_id=_TEXT, max_tokens=st.integers(), endpoint_url=_TEXT,
-        temperature=st.none() | st.floats(allow_nan=False, allow_infinity=False), rules_text=_TEXT,
+        RunMetadata, model_id=_TEXT, max_tokens=st.integers(min_value=1),
+        endpoint_url=st.from_regex(r"https?://[a-z0-9.]+(/[a-z0-9/]*)?", fullmatch=True),
+        temperature=st.none() | st.floats(min_value=0, allow_infinity=False),
+        rules_text=st.builds("{}Correct Choice:{}".format, _TEXT, _TEXT),
         timestamp=_TEXT, backend=_TEXT, manifest_sha256=_SHA256,
     )
     return st.builds(RunTranscript, run=run,
@@ -583,6 +587,18 @@ def _not_a_digest(doc, data):
     return "manifest_sha256 is not a sha256 hex digest"
 
 
+def _breaks_a_run_rule(doc, data):
+    # The settings the generator no longer draws: each is one ``run`` refuses.
+    name, value = data.draw(st.one_of(
+        st.tuples(st.just("max_tokens"), st.integers(max_value=0)),
+        st.tuples(st.just("temperature"), st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])),
+        st.tuples(st.just("endpoint_url"), _TEXT.filter(lambda url: not url.lower().startswith("http"))),
+        st.tuples(st.just("rules_text"), _TEXT.filter(lambda text: "Correct Choice:" not in text)),
+    ))
+    doc["run"][name] = value
+    return "run: "
+
+
 def _load_from_file(doc) -> RunTranscript:
     """``load_transcript`` on ``doc`` written to a temp file (``tmp_path``
     would be shared by every example of a property)."""
@@ -601,7 +617,7 @@ class TestTranscriptRoundTrip:
         assert _load_from_file(doc) == transcript
 
     @pytest.mark.parametrize("breakage", [_flip_is_correct, _empty_domain_tag, _wrong_json_type, _tampered_scores,
-                                          _not_a_digest])
+                                          _not_a_digest, _breaks_a_run_rule])
     @settings(deadline=None)
     @given(transcript=_transcripts(min_verdicts=1), data=st.data())
     def test_one_broken_invariant_is_refused(self, breakage, transcript, data):

@@ -31,22 +31,22 @@ class TestAnalyzeImages:
         report = analyze_images(
             transcript([verdict("a", "CV", True), verdict("b", "CV", False), verdict("c", "SKIN", True)])
         )
-        assert report.correct_hist == {"CV": 1, "SKIN": 1}
-        assert report.incorrect_hist == {"CV": 1}
-        assert sum(report.correct_hist.values()) + sum(report.incorrect_hist.values()) == 3
+        assert report["correct"] == {"CV": 1, "SKIN": 1}
+        assert report["incorrect"] == {"CV": 1}
+        assert sum(report["correct"].values()) + sum(report["incorrect"].values()) == 3
 
     def test_incorrect_only_tags_and_unit_error_rate(self):
         report = analyze_images(
             transcript([verdict("a", "CV", True), verdict("b", "EYE", False), verdict("c", "HN", False)])
         )
-        assert report.incorrect_only_tags == frozenset({"EYE", "HN"})
-        for tag in report.incorrect_only_tags:
-            assert report.per_tag_error_rate[tag] == 1.0
+        assert report["incorrect_only_tags"] == ["EYE", "HN"]
+        for tag in report["incorrect_only_tags"]:
+            assert report["error_rate"][tag] == 1.0
 
     def test_all_correct_run(self):
         report = analyze_images(transcript([verdict("a", "CV", True), verdict("b", "SKIN", True)]))
-        assert report.incorrect_hist == {}
-        assert report.incorrect_only_tags == frozenset()
+        assert report["incorrect"] == {}
+        assert report["incorrect_only_tags"] == []
 
     def test_reorder_invariance(self):
         verdicts = [verdict("a", "CV", True), verdict("b", "EYE", False), verdict("c", "CV", False)]
@@ -54,32 +54,32 @@ class TestAnalyzeImages:
 
     def test_rates_in_unit_interval(self, sample_transcript):
         report = analyze_images(sample_transcript)
-        assert all(0.0 <= rate <= 1.0 for rate in report.per_tag_error_rate.values())
+        assert all(0.0 <= rate <= 1.0 for rate in report["error_rate"].values())
 
     def test_per_tag_totals_match_corpus(self, sample_transcript, sample_corpus):
         report = analyze_images(sample_transcript)
         histogram = Counter(q.image.domain_tag for q in sample_corpus.iter_questions())
         for tag, total in histogram.items():
-            assert report.correct_hist.get(tag, 0) + report.incorrect_hist.get(tag, 0) == total
+            assert report["correct"].get(tag, 0) + report["incorrect"].get(tag, 0) == total
 
     def test_sample_incorrect_histogram(self, sample_transcript):
         report = analyze_images(sample_transcript)
-        assert report.incorrect_hist == {
+        assert report["incorrect"] == {
             "CV": 3, "SKIN": 2, "ENDO": 2, "EYE": 1, "LIVER": 1,
             "HN": 1, "FEM": 1, "INFL": 1, "LUNG": 1,
         }
-        assert sum(report.incorrect_hist.values()) == 13
-        assert report.incorrect_only_tags >= {"EYE", "HN"}
+        assert sum(report["incorrect"].values()) == 13
+        assert set(report["incorrect_only_tags"]) >= {"EYE", "HN"}
 
     def test_sample_correct_histogram_leaders(self, sample_transcript):
         report = analyze_images(sample_transcript)
-        assert report.correct_hist["SKIN"] >= 13
-        assert report.correct_hist["CV"] == 14
-        assert report.correct_hist["ENDO"] == 9
+        assert report["correct"]["SKIN"] >= 13
+        assert report["correct"]["CV"] == 14
+        assert report["correct"]["ENDO"] == 9
 
     def test_error_rate_definition(self):
         report = analyze_images(
             transcript([verdict(f"s{i}", "SKIN", True) for i in range(13)]
                        + [verdict(f"f{i}", "SKIN", False) for i in range(2)])
         )
-        assert report.per_tag_error_rate["SKIN"] == pytest.approx(2 / 15)
+        assert report["error_rate"]["SKIN"] == pytest.approx(2 / 15)

@@ -120,7 +120,7 @@ class TestDensity:
         graph = EntityGraph.from_edges([f"n{i}" for i in range(n)], [])
         with pytest.raises(UndefinedDensityError):
             density(graph)
-        assert compute_metrics(graph).density is None
+        assert compute_metrics(graph)["density"] is None
 
     def test_bounds_and_extremes(self):
         rng = random.Random(5)
@@ -171,7 +171,7 @@ class TestTopDegree:
     def test_empty_graph(self):
         graph = EntityGraph.from_edges([], [])
         assert top_degree(graph, 4) == []
-        assert compute_metrics(graph, 4).top_degree == ()
+        assert compute_metrics(graph, 4)["top_degree"] == []
 
     def test_lexicographic_tie_break(self):
         graph = EntityGraph.from_edges("abcd", [("a", "b"), ("c", "d")])
@@ -191,15 +191,15 @@ class TestComputeMetrics:
     def test_triangle(self):
         graph = EntityGraph.from_edges("abc", combinations("abc", 2))
         metrics = compute_metrics(graph)
-        assert (metrics.node_count, metrics.edge_count) == (3, 3)
-        assert metrics.density == 1.0
-        assert metrics.component_count == 1
+        assert (metrics["nodes"], metrics["edges"]) == (3, 3)
+        assert metrics["density"] == 1.0
+        assert metrics["components"] == 1
 
     def test_two_node_single_edge(self):
         metrics = compute_metrics(EntityGraph.from_edges("ab", [("a", "b")]))
-        assert metrics.density == 1.0
-        assert metrics.component_count == 1
-        assert metrics.top_degree == (("a", 1), ("b", 1))
+        assert metrics["density"] == 1.0
+        assert metrics["components"] == 1
+        assert metrics["top_degree"] == [["a", 1], ["b", 1]]
 
 
 class TestGraphValidation:
@@ -283,6 +283,11 @@ class TestExports:
         types = {n.get("id"): n.find(f"{ns}data").text for n in nodes}
         assert types == {"alpha": "ORGAN", "beta": "DISEASE", "gamma": "CONDITION"}
         assert all(e.find(f"{ns}data").text == "1" for e in edges)
+
+        # A graph built from bare edges has no counts: its edges carry no data.
+        bare = ET.fromstring(graph_to_graphml(EntityGraph.from_edges("cab", [("b", "a"), ("b", "c")])))
+        edges = bare.find(f"{ns}graph").findall(f"{ns}edge")
+        assert [(e.get("source"), e.get("target"), list(e)) for e in edges] == [("a", "b", []), ("b", "c", [])]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(XML_TEXT, XML_TEXT, st.integers(0, 3)), max_size=10))

@@ -258,6 +258,8 @@ class TestLexicon:
     def test_empty_pattern_list_rejected(self):
         with pytest.raises(LexiconError):
             EntityLexicon({"DISEASE": []})
+        with pytest.raises(LexiconError, match="lexicon has no entity types"):
+            EntityLexicon({})
 
     def test_blank_pattern_rejected(self):
         with pytest.raises(LexiconError):
