@@ -240,6 +240,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"--extractor llm requires the {API_KEY_ENV_VAR} environment variable"
             )
         config = _engine_config(args)
+        client.prepare_transport(config.endpoint_url)
         wait_turn = client.request_spacer(args.min_interval)
 
         def complete(text: str) -> str:

@@ -148,46 +148,128 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> RequestB
     return RequestBody(head + b'{"url": "' + url_prefix, prompt.image_path, prompt.image_size, b'"}' + tail)
 
 
-@functools.cache
-def _opener():
-    """The opener every default-transport request goes through, built once,
-    on first use: building it imports the HTTP/TLS stack (``urllib.request``,
-    ``http.client``, ``ssl``), which a replay run never loads.
+# http.client's limits on the length of a reply's lines and on the lines of its head.
+_MAX_LINE, _MAX_HEADERS = 65_536, 100
 
-    Its default proxy handler reads ``HTTP(S)_PROXY``/``NO_PROXY`` then. It
-    follows no redirect: a followed one would carry the bearer header to
-    wherever ``Location`` points, so every 30x reply is returned as is.
-    """
+
+@functools.cache
+def _proxies() -> dict[str, str]:
+    """``HTTP(S)_PROXY`` and the like by scheme, read once per process."""
     import urllib.request
 
-    class NoRedirect(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None
+    return urllib.request.getproxies()
 
-    return urllib.request.build_opener(NoRedirect)
+
+@functools.cache
+def _tls_context():
+    """The process's one TLS context; ``SSL_CERT_FILE``/``SSL_CERT_DIR`` are read when it is built."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+def prepare_transport(endpoint_url: str) -> None:
+    """Read the proxy table and, for https, build the TLS context now, in the caller's thread."""
+    _proxies()
+    if endpoint_url[:6].lower() == "https:":
+        _tls_context()
+
+
+def _read_reply(reply, with_body: bool = True) -> tuple[int, bytes]:
+    """The status and body of the first reply that is not a 1xx one. A reply
+    beyond http.client's limits, malformed or cut off raises its exception."""
+    import http.client
+
+    def line() -> bytes:
+        if len(text := reply.readline(_MAX_LINE + 1)) > _MAX_LINE:
+            raise http.client.LineTooLong("reply line")
+        return text
+
+    def exactly(size: int, before: bytes = b"") -> bytes:
+        if len(data := reply.read(size)) < size:
+            raise http.client.IncompleteRead(before + data, size - len(data))
+        return data
+
+    status = 100
+    while status < 200:
+        if not (first := line()):
+            raise http.client.RemoteDisconnected("remote end closed connection without response")
+        version, code, *_ = first.split(None, 2) + [b""]
+        if not (version.startswith(b"HTTP/1.") and len(code) == 3 and code.isdigit() and code >= b"100"):
+            raise http.client.BadStatusLine(repr(first))
+        status, fields = int(code), {}
+        for _ in range(_MAX_HEADERS):  # the blank line that ends them counts, as in http.client
+            if (field := line()) in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = field.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        else:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    if not with_body or fields.get(b"transfer-encoding", b"").lower() != b"chunked":
+        length = fields.get(b"content-length", b"") if with_body else b"0"
+        return status, exactly(int(length)) if length.isdigit() else reply.read()
+    chunks = []
+    while True:
+        size = line().split(b";", 1)[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise http.client.IncompleteRead(b"".join(chunks))
+        if not (size := int(size, 16)):
+            break
+        chunks.append(exactly(size + 2, b"".join(chunks))[:size])  # the chunk and its CRLF
+    return status, b"".join(chunks)  # any trailer fields go unread: the connection is closed
 
 
 def _default_transport(url: str, body: RequestBody, headers: dict) -> tuple[int, str]:
-    """POST ``body`` over a fresh connection and return the status and the
-    reply decoded as UTF-8 (undecodable bytes replaced). ``body`` is streamed
-    under ``Content-Length: len(body)``, so urllib does not chunk it.
-
-    Proxies come from ``HTTP(S)_PROXY``/``NO_PROXY`` through the opener's
-    default proxy handler, and TLS is verified with ``ssl``'s default
-    context. No redirect is followed: its status is returned.
-    """
-    import urllib.error
+    """POST ``body`` in one HTTP/1.1 exchange over a fresh connection, its
+    head sent with the body's first piece, and return the status and the
+    reply decoded as UTF-8 (undecodable bytes replaced). No redirect is
+    followed. A proxy that ``NO_PROXY`` does not exempt gets an http request
+    in absolute form and an https one through a ``CONNECT`` tunnel; the
+    credentials in its URL go to it alone."""
+    import socket
     import urllib.request
+    from urllib.parse import unquote, urlsplit
 
-    headers = {**headers, "Content-Length": str(len(body))}
-    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    parts = urlsplit(url)
+    tls, netloc, proxy_auth = parts.scheme == "https", parts.netloc.rpartition("@")[2], []
+    netloc = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+    port, target = parts.port or (443 if tls else 80), (parts.path or "/") + (parts.query and f"?{parts.query}")
+    if (proxy := _proxies().get(parts.scheme)) and urllib.request.proxy_bypass(netloc):
+        proxy = None
+    if proxy:
+        proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if not proxy.hostname:
+            raise OSError(f"the {parts.scheme} proxy URL names no host")
+        target = target if tls else url.partition("#")[0]
+        if proxy.username and proxy.password:
+            credentials = base64.b64encode(f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode())
+            proxy_auth = [f"Proxy-Authorization: Basic {credentials.decode('ascii')}"]
+    address = (proxy.hostname, proxy.port or 80) if proxy else (parts.hostname, port)
+    sock = socket.create_connection(address, REQUEST_TIMEOUT_SECONDS)
     try:
-        response = _opener().open(request, timeout=REQUEST_TIMEOUT_SECONDS)
-    except urllib.error.HTTPError as err:
-        with err:
-            return err.code, err.read().decode("utf-8", "replace")
-    with response:
-        return response.status, response.read().decode("utf-8", "replace")
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if proxy and tls:
+            authority = netloc if parts.port else f"{netloc}:{port}"
+            tunnel = [f"CONNECT {authority} HTTP/1.1", f"Host: {authority}", *proxy_auth, "", ""]
+            sock.sendall("\r\n".join(tunnel).encode("ascii"))
+            with sock.makefile("rb") as reply:
+                if (status := _read_reply(reply, with_body=False)[0]) != 200:
+                    raise OSError(f"tunnel connection failed: HTTP {status}")
+            proxy_auth = []
+        if tls:
+            sock = _tls_context().wrap_socket(sock, server_hostname=parts.hostname)
+        head = [f"POST {target} HTTP/1.1", f"Host: {netloc}", "User-Agent: quizeval", "Accept-Encoding: identity",
+                "Connection: close", *proxy_auth, *(f"{name}: {value}" for name, value in headers.items()),
+                f"Content-Length: {len(body)}", "", ""]
+        pieces = iter(body)
+        sock.sendall("\r\n".join(head).encode("ascii") + next(pieces))
+        for piece in pieces:
+            sock.sendall(piece)
+        with sock.makefile("rb") as reply:
+            status, text = _read_reply(reply)
+        return status, text.decode("utf-8", "replace")
+    finally:
+        sock.close()
 
 
 def _classify_status(status: int, text: str) -> ClientError:
@@ -230,7 +312,7 @@ def _execute(
     import http.client
     import urllib.error
 
-    # http.client would refuse the header in an error that quotes it.
+    # Otherwise the request head's ASCII encoding fails in an error that quotes the key, or a CR or LF breaks it.
     if not all("!" <= c <= "~" for c in api_key):
         raise ValueError("the API key holds a character outside visible ASCII, such as a trailing newline")
     body = request_body(prompt, config)
@@ -306,10 +388,10 @@ def make_live_completion(
     retry policy); the envelope is never mutated.
 
     ``min_interval`` spaces request starts (see ``request_spacer``). Safe
-    for concurrent invocation. The HTTP/TLS stack is loaded here, in the
-    caller's thread, not on a worker's first request.
+    for concurrent invocation. The transport is prepared here (see
+    ``prepare_transport``).
     """
-    _opener()
+    prepare_transport(config.endpoint_url)
     wait_turn = request_spacer(min_interval, sleep=sleep)
 
     def completion(envelope: PromptEnvelope) -> str:

@@ -70,7 +70,8 @@ class EngineConfig:
         if any(c <= " " or c == "\x7f" for c in self.endpoint_url):
             raise ValueError(f"endpoint_url contains whitespace or a control character: {self.endpoint_url!r}")
         parsed = urlparse(self.endpoint_url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+        parsed.port  # raises ValueError for a port that is not a number in 0-65535
+        if parsed.scheme not in ("http", "https") or not parsed.hostname:
             raise ValueError(f"endpoint_url is not a valid http(s) URL: {self.endpoint_url!r}")
         if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")

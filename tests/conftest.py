@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import quizeval
 
@@ -16,6 +17,13 @@ from quizeval.evaluator import run_evaluation
 from quizeval.ner import GazetteerExtractor, load_default_lexicon
 from quizeval.prompting import EngineConfig, RulesOfConduct
 from quizeval.sampledata import PLACEHOLDER_PNG as TINY_PNG, SamplePaths, materialize_sample
+
+
+# Every phase but explain, which re-runs a failing property many times to
+# comment on the minimal example: a failing run stays readable and ends sooner.
+# Shrinking stays, so the minimal failing example is still reported.
+settings.register_profile("quizeval", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("quizeval")
 
 
 def child_env(env: dict[str, str]) -> dict[str, str]:

@@ -7,8 +7,11 @@ import json
 import os
 import re
 import shutil
+import socket
+import ssl
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -754,7 +757,7 @@ def test_unsendable_request_exits_one_before_any_request(command, case, said, an
         opened.append(args)
         raise OSError("no request may be sent")
 
-    monkeypatch.setattr(client._opener(), "open", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
     # A trailing carriage return, as a key file saved on Windows leaves.
     monkeypatch.setenv("QUIZEVAL_API_KEY", "sk-secret-123\r" if case == "key" else "sk-secret-123")
     endpoint = "http://127.0.0.1:9/v1/chat" + ("/completions" if case == "key" else " completions")
@@ -777,6 +780,36 @@ def test_unsendable_request_exits_one_before_any_request(command, case, said, an
     assert "sk-secret" not in captured.out + captured.err
     assert opened == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_both_stages_build_the_tls_context_before_any_request(command, analyzed, sample_paths, tmp_path,
+                                                               monkeypatch):
+    # Built in the first requests instead, it could be built once per worker.
+    events = []
+
+    def transport(url, body, headers):
+        events.append("request")
+        (text_part, *_), = (message["content"] for message in json.loads(bytes(body))["messages"])
+        content = fake_entity_reply(text_part["text"]) if command == "analyze" else "Correct Choice:A"
+        return 200, json.dumps({"choices": [{"message": {"content": content}}], "model": "m"})
+
+    monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
+    monkeypatch.setattr(client, "_default_transport", transport)
+    monkeypatch.setattr(ssl, "create_default_context", lambda: events.append(threading.current_thread()))
+    client._tls_context.cache_clear()
+    argv = [command, "--manifest", str(sample_paths.manifest), "--endpoint", "https://127.0.0.1:9/v1/chat/completions",
+            "--parallelism", "4", "--out", str(tmp_path / "out")]
+    if command == "run":
+        argv += ["--backend", "live"]
+    else:
+        argv += ["--transcript", str(analyzed[0] / "transcript.json"), "--extractor", "llm"]
+    try:
+        assert run_cli(*argv) == 0
+    finally:
+        client._tls_context.cache_clear()
+    assert events[0] is threading.main_thread()
+    assert events[1:] == ["request"] * (len(events) - 1) and len(events) > 79
 
 
 def _config_settable_flags():

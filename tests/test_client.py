@@ -6,6 +6,7 @@ import http.server
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -395,6 +396,14 @@ def truncated(handler):
     handler.wfile.write(b'{"choices": ')
 
 
+def raw(wire: bytes):
+    """Write ``wire`` as it is, then close the connection."""
+    def act(handler):
+        handler.wfile.write(wire)
+
+    return act
+
+
 def stall_before_reply(handler):
     handler.server.release.wait(30)
 
@@ -419,7 +428,7 @@ class Loopback:
                 loopback.received.append((self.command, self.path, dict(self.headers), body))
                 loopback.script.pop(0)(self)
 
-            do_GET = do_POST
+            do_GET = do_CONNECT = do_POST
 
             def log_message(self, *args):
                 pass
@@ -463,21 +472,17 @@ class TestDefaultTransport:
 
     @pytest.fixture(autouse=True)
     def all_closed(self, monkeypatch):
-        # The ResourceWarning of an unclosed response comes, if at all, from
+        # The ResourceWarning of an unclosed socket comes, if at all, from
         # the garbage collector at some later point, so check each one here.
-        opened, open_ = [], client._opener().open
+        opened, connect = [], socket.create_connection
 
         def recording(*args, **kwargs):
-            try:
-                opened.append(open_(*args, **kwargs))
-            except urllib.error.HTTPError as err:
-                opened.append(err)
-                raise
+            opened.append(connect(*args, **kwargs))
             return opened[-1]
 
-        monkeypatch.setattr(client._opener(), "open", recording)
+        monkeypatch.setattr(socket, "create_connection", recording)
         yield
-        assert all(response.closed for response in opened)
+        assert all(sock.fileno() == -1 for sock in opened)
 
     def test_ok_reply_and_exact_wire_body(self, loopback, tmp_path):
         server = loopback(ok_reply("Looks right. Correct Choice:B"))
@@ -494,6 +499,15 @@ class TestDefaultTransport:
         assert "Transfer-Encoding" not in headers
         assert headers["Authorization"] == "Bearer sk-key"
         assert headers["Content-Type"] == "application/json"
+
+    def test_image_that_shrinks_mid_request_is_not_retried(self, loopback, tmp_path):
+        server = loopback(drop)
+        env = envelope_over(write_image(tmp_path / "image.png", 2 * BLOCK))
+        Path(env.image_path).write_bytes(b"short")
+        sleeps: list[float] = []
+        with pytest.raises(ImageReadError, match="is no longer 98304 bytes long"):
+            make_live_completion(config_for(server.url), "key", sleep=sleeps.append)(env)
+        assert sleeps == []
 
     def test_rate_limit_then_ok(self, loopback):
         server = loopback(reply(429, b'{"error": "slow down"}'), ok_reply("DISEASE | gout"))
@@ -543,6 +557,50 @@ class TestDefaultTransport:
         assert len(server.received) == len(statuses)
         assert elsewhere.received == []
 
+    DOC = json.dumps({"choices": [{"message": {"content": "Ödem. Correct Choice:C"}}]}, ensure_ascii=False).encode()
+
+    @pytest.mark.parametrize("wire", [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"a;name=value\r\n" + DOC[:10] + b"\r\n" + b"%x\r\n" % (len(DOC) - 10) + DOC[10:] + b"\r\n"
+        + b"0\r\nX-Trailer: done\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + DOC,
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(DOC) + DOC,
+        # At http.client's limits: 100 header lines, the blank one included, and
+        # one of them 65,536 bytes long with its CRLF.
+        b"HTTP/1.1 200 OK\r\n" + b"X-Long: " + b"a" * (65_536 - 10) + b"\r\n" + b"X-Field: 1\r\n" * 97
+        + b"Content-Length: %d\r\n\r\n" % len(DOC) + DOC,
+    ], ids=["chunked", "http-1.0-to-eof", "100-continue", "at-the-limits"])
+    def test_reply_framing_gives_the_exact_text(self, wire, loopback):
+        server = loopback(raw(wire))
+        body = request_body("x", config_for(server.url))
+        assert client._default_transport(server.url, body, {}) == (200, self.DOC.decode("utf-8"))
+
+    # One past each of those limits, then malformed or cut-off replies.
+    @pytest.mark.parametrize("wire", [
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65_536 + b"\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\n" + b"X-Field: 1\r\n" * 99 + b"Content-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % len(DOC) + DOC[:-5],
+        b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}",
+    ], ids=["long-header-line", "101-header-lines", "bad-chunk-size", "negative-chunk-size", "cut-off-in-a-chunk",
+            "bad-status-line"])
+    def test_bad_reply_is_transport_after_one_attempt(self, wire, loopback, monkeypatch):
+        monkeypatch.setattr(client, "MAX_RETRIES", 0)
+        server = loopback(raw(wire))
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            complete_text("x", config_for(server.url), "key", sleep=lambda s: None)
+        assert (excinfo.value.kind, excinfo.value.attempts) == ("Transport", 1)
+
+    def test_request_head(self, loopback):
+        server = loopback(ok_reply("ok"))
+        url = server.base.replace("//", "//user:secret@") + "/v1/chat/completions?api-version=2#part"
+        assert complete_text("x", config_for(url), "sk-key", sleep=lambda s: None) == "ok"
+        ((method, path, headers, _),) = server.received
+        assert (method, path) == ("POST", "/v1/chat/completions?api-version=2")
+        assert headers["Host"] == server.base.removeprefix("http://")
+        assert (headers["Connection"], headers["Accept-Encoding"]) == ("close", "identity")
+
     def test_non_utf8_error_body_is_malformed(self, loopback):
         server = loopback(reply(400, b"bad \xff\xfe request"))
         with pytest.raises(ClientError) as excinfo:
@@ -577,6 +635,29 @@ class TestProxy:
         assert all(headers["Authorization"] == "Bearer sk-key" for _, _, headers, _ in proxy.received)
         assert all(headers["Host"] == "example.invalid" for _, _, headers, _ in proxy.received)
 
+    def test_http_proxy_gets_the_credentials_of_its_url(self, loopback):
+        proxy = loopback(ok_reply("via proxy"))
+        endpoint = "http://example.invalid/v1/chat/completions"
+        done = run_through_proxy(endpoint, http_proxy=proxy.base.replace("//", "//user:pa%3Ass@"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"via proxy\n", b"")
+        ((_, path, headers, _),) = proxy.received
+        assert path == endpoint
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pa:ss").decode()
+        assert headers["Authorization"] == "Bearer sk-key"
+
+    def test_https_endpoint_tunnels_through_connect(self, loopback):
+        proxy = loopback(*[reply(407, b"{}")] * (client.MAX_RETRIES + 1))
+        done = run_through_proxy("https://example.invalid/v1/chat/completions",
+                                 https_proxy=proxy.base.replace("//", "//user:pa%3Ass@"))
+        assert done.returncode == 1
+        last_line = done.stderr.splitlines()[-1]
+        assert last_line.startswith(b"quizeval.client.RetriesExhaustedError: Transport: gave up after 4 attempts")
+        assert b"407" in last_line
+        assert [(method, path) for method, path, _, _ in proxy.received] == [("CONNECT", "example.invalid:443")] * 4
+        for _, _, headers, _ in proxy.received:
+            assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pa:ss").decode()
+            assert "Authorization" not in headers
+
     def test_no_proxy_bypasses_the_proxy(self, loopback):
         proxy = loopback()
         endpoint = loopback(ok_reply("direct"))
@@ -585,3 +666,50 @@ class TestProxy:
         assert (done.returncode, done.stdout, done.stderr) == (0, b"direct\n", b"")
         assert proxy.received == []
         assert [(method, path) for method, path, _, _ in endpoint.received] == [("POST", "/v1/chat/completions")]
+
+
+def close_each_connection(listener: socket.socket, count: int) -> None:
+    for _ in range(count):
+        connection, _ = listener.accept()
+        connection.close()
+
+
+def test_https_attempts_share_one_tls_context(monkeypatch):
+    # Building a context loads the CA store, which costs more than the rest of a request.
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setattr(client, "MAX_RETRIES", 3)
+    built, new = [], ssl.SSLContext.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ssl.SSLContext, "__new__", counting)
+    client._tls_context.cache_clear()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(30)
+        closer = threading.Thread(target=close_each_connection, args=(listener, client.MAX_RETRIES + 1))
+        closer.start()
+        try:
+            with pytest.raises(RetriesExhaustedError) as excinfo:
+                complete_text("x", config_for(f"https://127.0.0.1:{listener.getsockname()[1]}/v1"), "key",
+                              sleep=lambda s: None)
+        finally:
+            closer.join(30)
+    client._tls_context.cache_clear()
+    assert not closer.is_alive()
+    assert (excinfo.value.kind, excinfo.value.attempts) == ("Transport", 4)
+    assert len(built) == 1
+
+
+def test_proxy_url_without_a_host_is_transport_and_connects_nowhere(monkeypatch):
+    # Without a host, the socket layer would connect to this machine's port 80.
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(client, "_proxies", lambda: {"http": "http://user:secret@"})
+    monkeypatch.setattr(client, "MAX_RETRIES", 0)
+    monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("a connection was opened"))
+    with pytest.raises(RetriesExhaustedError) as excinfo:
+        complete_text("x", config_for("http://example.invalid/v1"), "key", sleep=lambda s: None)
+    assert excinfo.value.kind == "Transport"
+    assert "secret" not in str(excinfo.value)

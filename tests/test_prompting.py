@@ -131,6 +131,9 @@ class TestEngineConfig:
         {"max_tokens": 0},
         {"endpoint_url": "not a url"},
         {"endpoint_url": "ftp://host/x"},
+        {"endpoint_url": "http://:80/x"},
+        {"endpoint_url": "http://host:http/x"},
+        {"endpoint_url": "http://host:65536/x"},
         {"temperature": -0.1},
         {"temperature": float("nan")},
         {"temperature": float("inf")},
