@@ -185,16 +185,16 @@ def _read_reply(reply, with_body: bool = True) -> tuple[int, bytes]:
             raise http.client.LineTooLong("reply line")
         return text
 
-    def exactly(size: int, before: bytes = b"") -> bytes:
+    def exactly(size: int) -> bytes:
         if len(data := reply.read(size)) < size:
-            raise http.client.IncompleteRead(before + data, size - len(data))
+            raise http.client.IncompleteRead(data, size - len(data))
         return data
 
     status = 100
     while status < 200:
         if not (first := line()):
             raise http.client.RemoteDisconnected("remote end closed connection without response")
-        version, code, *_ = first.split(None, 2) + [b""]
+        version, code, *_ = first.split(None, 2) + [b"", b""]
         if not (version.startswith(b"HTTP/1.") and len(code) == 3 and code.isdigit() and code >= b"100"):
             raise http.client.BadStatusLine(repr(first))
         status, fields = int(code), {}
@@ -215,7 +215,7 @@ def _read_reply(reply, with_body: bool = True) -> tuple[int, bytes]:
             raise http.client.IncompleteRead(b"".join(chunks))
         if not (size := int(size, 16)):
             break
-        chunks.append(exactly(size + 2, b"".join(chunks))[:size])  # the chunk and its CRLF
+        chunks.append(exactly(size + 2)[:size])  # the chunk and its CRLF
     return status, b"".join(chunks)  # any trailer fields go unread: the connection is closed
 
 
