@@ -236,9 +236,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if not api_key:
-            raise ner.ExtractorUnavailableError(
-                f"--extractor llm requires the {API_KEY_ENV_VAR} environment variable"
-            )
+            raise ConfigError(f"--extractor llm requires the {API_KEY_ENV_VAR} environment variable")
         config = _engine_config(args)
         client.prepare_transport(config.endpoint_url)
         wait_turn = client.request_spacer(args.min_interval)
@@ -295,8 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, ValueError, RunMismatchError, PromptError,
-            client.MalformedFixtureError, ner.ExtractorUnavailableError,
-            ner.LexiconError) as exc:
+            client.MalformedFixtureError, ner.LexiconError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CorpusValidationError as exc:

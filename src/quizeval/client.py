@@ -153,26 +153,48 @@ _MAX_LINE, _MAX_HEADERS = 65_536, 100
 
 
 @functools.cache
-def _proxies() -> dict[str, str]:
-    """``HTTP(S)_PROXY`` and the like by scheme, read once per process."""
-    import urllib.request
-
-    return urllib.request.getproxies()
-
-
-@functools.cache
-def _tls_context():
-    """The process's one TLS context; ``SSL_CERT_FILE``/``SSL_CERT_DIR`` are read when it is built."""
+def _route(url: str) -> tuple[tuple[str, int], object, str | None, bytes | None, bytes]:
+    """How every attempt reaches ``url``, worked out once per endpoint from
+    the URL and the proxy environment, ``NO_PROXY`` included: the address
+    to connect to, the TLS context (None for http) and server name, the
+    ``CONNECT`` request of a tunnel (or None), and the request head up to
+    the caller's headers. A proxy that ``NO_PROXY`` does not exempt gets an
+    http request in absolute form and an https one through the tunnel; the
+    credentials in its URL go to it alone, those in ``url`` to no one. A
+    proxy URL with no host raises ValueError."""
     import ssl
+    import urllib.request
+    from urllib.parse import unquote, urlsplit
 
-    return ssl.create_default_context()
+    parts = urlsplit(url)
+    tls, netloc = parts.scheme == "https", parts.netloc.rpartition("@")[2]
+    netloc = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+    port, target = parts.port or (443 if tls else 80), (parts.path or "/") + (parts.query and f"?{parts.query}")
+    address, tunnel, proxy_auth = (parts.hostname, port), None, ""
+    if (proxy := urllib.request.getproxies().get(parts.scheme)) and not urllib.request.proxy_bypass(netloc):
+        proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if not proxy.hostname:
+            raise ValueError(f"the {parts.scheme} proxy URL names no host")
+        address = (proxy.hostname, proxy.port or 80)
+        if proxy.username and proxy.password:
+            credentials = base64.b64encode(f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode())
+            proxy_auth = f"Proxy-Authorization: Basic {credentials.decode('ascii')}\r\n"
+        if tls:
+            authority = netloc if parts.port else f"{netloc}:{port}"
+            tunnel = f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}\r\n{proxy_auth}\r\n".encode("ascii")
+            proxy_auth = ""
+        else:
+            target = f"http://{netloc}{target}"
+    head = (f"POST {target} HTTP/1.1\r\nHost: {netloc}\r\nUser-Agent: quizeval\r\nAccept-Encoding: identity\r\n"
+            f"Connection: close\r\n{proxy_auth}")
+    # SSL_CERT_FILE and SSL_CERT_DIR are read here, once per endpoint.
+    context = ssl.create_default_context() if tls else None
+    return address, context, parts.hostname, tunnel, head.encode("ascii")
 
 
 def prepare_transport(endpoint_url: str) -> None:
-    """Read the proxy table and, for https, build the TLS context now, in the caller's thread."""
-    _proxies()
-    if endpoint_url[:6].lower() == "https:":
-        _tls_context()
+    """Work out the route to ``endpoint_url`` (see ``_route``) now, in the caller's thread."""
+    _route(endpoint_url)
 
 
 def _read_reply(reply, with_body: bool = True) -> tuple[int, bytes]:
@@ -220,49 +242,26 @@ def _read_reply(reply, with_body: bool = True) -> tuple[int, bytes]:
 
 
 def _default_transport(url: str, body: RequestBody, headers: dict) -> tuple[int, str]:
-    """POST ``body`` in one HTTP/1.1 exchange over a fresh connection, its
-    head sent with the body's first piece, and return the status and the
-    reply decoded as UTF-8 (undecodable bytes replaced). No redirect is
-    followed. A proxy that ``NO_PROXY`` does not exempt gets an http request
-    in absolute form and an https one through a ``CONNECT`` tunnel; the
-    credentials in its URL go to it alone."""
+    """POST ``body`` in one HTTP/1.1 exchange over a fresh connection on
+    ``url``'s route (see ``_route``), its head sent with the body's first
+    piece, and return the status and the reply decoded as UTF-8
+    (undecodable bytes replaced). No redirect is followed."""
     import socket
-    import urllib.request
-    from urllib.parse import unquote, urlsplit
 
-    parts = urlsplit(url)
-    tls, netloc, proxy_auth = parts.scheme == "https", parts.netloc.rpartition("@")[2], []
-    netloc = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
-    port, target = parts.port or (443 if tls else 80), (parts.path or "/") + (parts.query and f"?{parts.query}")
-    if (proxy := _proxies().get(parts.scheme)) and urllib.request.proxy_bypass(netloc):
-        proxy = None
-    if proxy:
-        proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        if not proxy.hostname:
-            raise OSError(f"the {parts.scheme} proxy URL names no host")
-        target = target if tls else url.partition("#")[0]
-        if proxy.username and proxy.password:
-            credentials = base64.b64encode(f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode())
-            proxy_auth = [f"Proxy-Authorization: Basic {credentials.decode('ascii')}"]
-    address = (proxy.hostname, proxy.port or 80) if proxy else (parts.hostname, port)
+    address, tls_context, server_name, tunnel, head = _route(url)
     sock = socket.create_connection(address, REQUEST_TIMEOUT_SECONDS)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if proxy and tls:
-            authority = netloc if parts.port else f"{netloc}:{port}"
-            tunnel = [f"CONNECT {authority} HTTP/1.1", f"Host: {authority}", *proxy_auth, "", ""]
-            sock.sendall("\r\n".join(tunnel).encode("ascii"))
+        if tunnel:
+            sock.sendall(tunnel)
             with sock.makefile("rb") as reply:
                 if (status := _read_reply(reply, with_body=False)[0]) != 200:
                     raise OSError(f"tunnel connection failed: HTTP {status}")
-            proxy_auth = []
-        if tls:
-            sock = _tls_context().wrap_socket(sock, server_hostname=parts.hostname)
-        head = [f"POST {target} HTTP/1.1", f"Host: {netloc}", "User-Agent: quizeval", "Accept-Encoding: identity",
-                "Connection: close", *proxy_auth, *(f"{name}: {value}" for name, value in headers.items()),
-                f"Content-Length: {len(body)}", "", ""]
+        if tls_context:
+            sock = tls_context.wrap_socket(sock, server_hostname=server_name)
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
         pieces = iter(body)
-        sock.sendall("\r\n".join(head).encode("ascii") + next(pieces))
+        sock.sendall(head + f"{fields}Content-Length: {len(body)}\r\n\r\n".encode("ascii") + next(pieces))
         for piece in pieces:
             sock.sendall(piece)
         with sock.makefile("rb") as reply:
@@ -310,7 +309,6 @@ def _execute(
     before any attempt, without naming the key.
     """
     import http.client
-    import urllib.error
 
     # Otherwise the request head's ASCII encoding fails in an error that quotes the key, or a CR or LF breaks it.
     if not all("!" <= c <= "~" for c in api_key):
@@ -325,9 +323,6 @@ def _execute(
                 status, text = transport(config.endpoint_url, body, headers)
             except TimeoutError as exc:
                 raise ClientError("Timeout", f"request timed out: {exc}") from exc
-            except urllib.error.URLError as exc:
-                kind = "Timeout" if isinstance(exc.reason, TimeoutError) else "Transport"
-                raise ClientError(kind, f"connection failed: {exc.reason}") from exc
             except (OSError, http.client.HTTPException) as exc:
                 raise ClientError("Transport", f"request failed: {exc!r}") from exc
             if status != 200:

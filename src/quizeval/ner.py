@@ -29,10 +29,6 @@ class LexiconError(Exception):
     """The lexicon file is unusable (bad shape, empty or duplicated patterns)."""
 
 
-class ExtractorUnavailableError(Exception):
-    """The requested extraction strategy has no working backend."""
-
-
 @dataclass(frozen=True, slots=True)
 class EntityRecord:
     """One extracted entity occurrence.

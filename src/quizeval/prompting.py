@@ -66,13 +66,18 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        # http.client refuses these characters in a request target, so every request would fail.
+        # The client writes the URL's parts into the request head as they stand: whitespace would split
+        # its request line and a CR or LF would start a header of its own.
         if any(c <= " " or c == "\x7f" for c in self.endpoint_url):
             raise ValueError(f"endpoint_url contains whitespace or a control character: {self.endpoint_url!r}")
         parsed = urlparse(self.endpoint_url)
         parsed.port  # raises ValueError for a port that is not a number in 0-65535
         if parsed.scheme not in ("http", "https") or not parsed.hostname:
             raise ValueError(f"endpoint_url is not a valid http(s) URL: {self.endpoint_url!r}")
+        # The request head is ASCII: the host goes out IDNA-encoded, every other part as it stands.
+        without_host = self.endpoint_url.replace(parsed.netloc, parsed.netloc.rpartition("@")[0], 1)
+        if not without_host.isascii():
+            raise ValueError(f"endpoint_url has a non-ASCII character outside its host: {self.endpoint_url!r}")
         if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
 

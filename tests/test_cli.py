@@ -325,7 +325,7 @@ class TestAnalyze:
             "--manifest", str(sample_paths.manifest), "--extractor", "llm",
         )
         assert code == 1
-        assert "ExtractorUnavailable" in capsys.readouterr().err
+        assert "ConfigError" in capsys.readouterr().err
 
     def test_mismatched_corpus(self, analyzed, manifest_factory, capsys):
         run_out, _ = analyzed
@@ -748,7 +748,9 @@ def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, 
     ("key", "error: ValueError: the API key holds a character outside visible ASCII"),
     ("endpoint-flag", "error: ConfigError: endpoint_url contains whitespace or a control character"),
     ("endpoint-config", "error: ConfigError: endpoint_url contains whitespace or a control character"),
-], ids=["key", "endpoint-flag", "endpoint-config"])
+    ("non-ascii-path", "error: ConfigError: endpoint_url has a non-ASCII character outside its host"),
+    ("proxy-without-host", "error: ValueError: the http proxy URL names no host"),
+], ids=["key", "endpoint-flag", "endpoint-config", "non-ascii-path", "proxy-without-host"])
 def test_unsendable_request_exits_one_before_any_request(command, case, said, analyzed, sample_paths, tmp_path,
                                                          capsys, monkeypatch):
     opened = []
@@ -760,7 +762,12 @@ def test_unsendable_request_exits_one_before_any_request(command, case, said, an
     monkeypatch.setattr(socket, "create_connection", refuse)
     # A trailing carriage return, as a key file saved on Windows leaves.
     monkeypatch.setenv("QUIZEVAL_API_KEY", "sk-secret-123\r" if case == "key" else "sk-secret-123")
-    endpoint = "http://127.0.0.1:9/v1/chat" + ("/completions" if case == "key" else " completions")
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", "http://user:sk-secret-proxy@" if case == "proxy-without-host" else "")
+    endpoint = {"key": "http://127.0.0.1:9/v1/chat/completions", "non-ascii-path": "http://127.0.0.1:9/v1/chät",
+                "proxy-without-host": "http://hostless-proxy.invalid/v1/chat/completions",
+                }.get(case, "http://127.0.0.1:9/v1/chat completions")
     run_out, _ = analyzed
     out = tmp_path / "out"
     argv = [command, "--manifest", str(sample_paths.manifest), "--out", str(out)]
@@ -797,7 +804,7 @@ def test_both_stages_build_the_tls_context_before_any_request(command, analyzed,
     monkeypatch.setenv("QUIZEVAL_API_KEY", "test-key")
     monkeypatch.setattr(client, "_default_transport", transport)
     monkeypatch.setattr(ssl, "create_default_context", lambda: events.append(threading.current_thread()))
-    client._tls_context.cache_clear()
+    client._route.cache_clear()
     argv = [command, "--manifest", str(sample_paths.manifest), "--endpoint", "https://127.0.0.1:9/v1/chat/completions",
             "--parallelism", "4", "--out", str(tmp_path / "out")]
     if command == "run":
@@ -807,7 +814,7 @@ def test_both_stages_build_the_tls_context_before_any_request(command, analyzed,
     try:
         assert run_cli(*argv) == 0
     finally:
-        client._tls_context.cache_clear()
+        client._route.cache_clear()
     assert events[0] is threading.main_thread()
     assert events[1:] == ["request"] * (len(events) - 1) and len(events) > 79
 

@@ -137,12 +137,14 @@ class TestEngineConfig:
         {"temperature": -0.1},
         {"temperature": float("nan")},
         {"temperature": float("inf")},
+        {"endpoint_url": "http://127.0.0.1:9/v1/chät"},
+        {"endpoint_url": "http://host/v1?q=ä"},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
 
-    # http.client refuses these in a request target; urlparse drops some of them silently.
+    # They would split the request line or start a header; urlparse drops some of them silently.
     @pytest.mark.parametrize("url", [
         "http://127.0.0.1:9/v1/chat completions", "\thttp://host/v1", "http://host/v1\r\n",
         "http://host/v1\x00", "http://host/\x1fv1", "http://host/v1\x7f",
