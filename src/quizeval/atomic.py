@@ -16,19 +16,8 @@ import itertools
 import json
 import mmap
 import os
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
-
-
-@contextmanager
-def _reading(path: str | Path, error: type[Exception], what: str):
-    """Turn a file that is missing, unreadable or not UTF-8, or a path with a
-    NUL in it, into ``error`` naming ``what`` and the path."""
-    try:
-        yield
-    except (OSError, ValueError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _loads(text: str, path: str | Path, error: type[Exception], what: str, **loads_kwargs):
@@ -45,15 +34,20 @@ def _read(path: str | Path, error: type[Exception], what: str, digest: bool) -> 
     decoder (``str.replace`` is slow), or else as decoded and with the sha256
     hex digest of its bytes. The mapping is anonymous: a file-backed one would
     raise SIGBUS if the file were truncated under it. A read that fills its
-    spare byte (a pipe, a file that grew) appends the rest as ``bytes``."""
-    with _reading(path, error, what), Path(path).open("rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        with mmap.mmap(-1, size + 1) as mapping:
-            count = handle.readinto(mapping)
-            with memoryview(mapping)[:count] as view:
-                data = view if count <= size else view.tobytes() + handle.read()
-                sha256 = hashlib.sha256(data).hexdigest() if digest else None
-                text = str(data, "utf-8")
+    spare byte (a pipe, a file that grew) appends the rest as ``bytes``. A
+    file that is missing, unreadable or not UTF-8, or a path with a NUL in it,
+    raises ``error`` naming ``what`` and the path."""
+    try:
+        with Path(path).open("rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            with mmap.mmap(-1, size + 1) as mapping:
+                count = handle.readinto(mapping)
+                with memoryview(mapping)[:count] as view:
+                    data = view if count <= size else view.tobytes() + handle.read()
+                    sha256 = hashlib.sha256(data).hexdigest() if digest else None
+                    text = str(data, "utf-8")
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     return (text if digest else io.IncrementalNewlineDecoder(None, True).decode(text, True)), sha256
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .atomic import read_json
-from .prompting import EngineConfig, ImageReadError, PromptEnvelope
+from .prompting import EngineConfig, ImageReadError, PromptEnvelope, _ascii_netloc
 
 REQUEST_TIMEOUT_SECONDS = 120.0
 MAX_RETRIES = 3
@@ -150,6 +150,8 @@ def request_body(prompt: PromptEnvelope | str, config: EngineConfig) -> RequestB
 
 # http.client's limits on the length of a reply's lines and on the lines of its head.
 _MAX_LINE, _MAX_HEADERS = 65_536, 100
+# Reply body bytes per read. A read allocates what it asks for before any byte arrives.
+_REPLY_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -167,8 +169,7 @@ def _route(url: str) -> tuple[tuple[str, int], object, str | None, bytes | None,
     from urllib.parse import unquote, urlsplit
 
     parts = urlsplit(url)
-    tls, netloc = parts.scheme == "https", parts.netloc.rpartition("@")[2]
-    netloc = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+    tls, netloc = parts.scheme == "https", _ascii_netloc(parts.netloc)
     port, target = parts.port or (443 if tls else 80), (parts.path or "/") + (parts.query and f"?{parts.query}")
     address, tunnel, proxy_auth = (parts.hostname, port), None, ""
     if (proxy := urllib.request.getproxies().get(parts.scheme)) and not urllib.request.proxy_bypass(netloc):
@@ -208,9 +209,13 @@ def _read_reply(reply, with_body: bool = True) -> tuple[int, bytes]:
         return text
 
     def exactly(size: int) -> bytes:
-        if len(data := reply.read(size)) < size:
-            raise http.client.IncompleteRead(data, size - len(data))
-        return data
+        blocks, left = [], size
+        while left and (block := reply.read(min(left, _REPLY_BLOCK))):
+            blocks.append(block)
+            left -= len(block)
+        if left:
+            raise http.client.IncompleteRead(b"".join(blocks), left)
+        return b"".join(blocks)
 
     status = 100
     while status < 200:

@@ -159,9 +159,116 @@ def load_corpus(manifest_path: str | Path) -> QuizCorpus:
     base_dir = os.path.dirname(manifest_path)
     seen_question_ids: set[str] = set()
     seen_quiz_ids: set[str] = set()
+
+    def issue(message: str, kind: str = "MalformedManifest") -> None:
+        issues.append(ValidationIssue(kind, message))
+
+    def parse_quiz(qz: object) -> Quiz | None:
+        if not isinstance(qz, dict):
+            issue("quiz entry must be an object")
+            return None
+        quiz_id = qz.get("id")
+        title = qz.get("title", "")
+        questions_raw = qz.get("questions")
+        if not isinstance(quiz_id, str) or not quiz_id:
+            issue("quiz id must be a non-empty string")
+            return None
+        if not is_utf8(quiz_id):
+            issue(f"quiz id {quiz_id!r} is not writable as UTF-8")
+            return None
+        if quiz_id in seen_quiz_ids:
+            issue(f"quiz id {quiz_id!r} appears more than once", "DuplicateId")
+            return None
+        seen_quiz_ids.add(quiz_id)
+        if not isinstance(title, str):
+            issue(f"quiz {quiz_id}: title must be a string")
+            title = ""
+        if not isinstance(questions_raw, list):
+            issue(f"quiz {quiz_id}: questions must be an array")
+            return None
+
+        questions: list[Question] = []
+        for entry in questions_raw:
+            q = parse_question(entry, quiz_id)
+            if q is not None:
+                questions.append(q)
+        return Quiz(id=quiz_id, title=title, questions=tuple(questions))
+
+    def parse_question(entry: object, quiz_id: str) -> Question | None:
+        if not isinstance(entry, dict):
+            issue(f"quiz {quiz_id}: question entry must be an object")
+            return None
+        qid = entry.get("id")
+        if not isinstance(qid, str) or not qid:
+            issue(f"quiz {quiz_id}: question id must be a non-empty string")
+            return None
+        if qid in seen_question_ids:
+            issue(f"question id {qid!r} appears more than once", "DuplicateId")
+            return None
+        seen_question_ids.add(qid)
+
+        checked = len(issues)
+        stem = entry.get("stem")
+        if not isinstance(stem, str):
+            issue(f"question {qid}: stem must be a string")
+
+        choices = parse_choices(entry.get("choices"), qid)
+
+        correct = entry.get("correct_letter")
+        if not isinstance(correct, str):
+            issue(f"question {qid}: correct_letter must be a string")
+        elif choices is not None and correct not in tuple(c.letter for c in choices):
+            issue(f"question {qid}: correct_letter {correct!r} is not among the choice letters",
+                  "InvalidCorrectLetter")
+
+        explanation = entry.get("explanation")
+        if not isinstance(explanation, str) or not explanation.strip():
+            issue(f"question {qid}: explanation must be non-empty")
+
+        image = parse_image(entry.get("image"), qid)
+
+        if len(issues) > checked:
+            return None
+        return Question(id=qid, quiz_id=quiz_id, stem=stem, choices=choices, correct_letter=correct,
+                        explanation=explanation, image=image)
+
+    def parse_choices(raw: object, qid: str) -> tuple[Choice, ...] | None:
+        if not isinstance(raw, (list, tuple)) or not (MIN_CHOICES <= len(raw) <= MAX_CHOICES):
+            issue(f"question {qid}: choices must be an array of {MIN_CHOICES}-{MAX_CHOICES} entries")
+            return None
+        # _choice_records leaves an array a list only if an entry lacks a string letter or text.
+        if isinstance(raw, list):
+            issue(f"question {qid}: each choice needs letter and text")
+            return None
+        letters = tuple(c.letter for c in raw)
+        if letters != tuple(LETTER_SEQUENCE[: len(letters)]):
+            issue(f"question {qid}: choice letters must be A..{LETTER_SEQUENCE[len(letters) - 1]} in order, "
+                  f"got {letters}")
+            return None
+        return raw
+
+    def parse_image(raw: object, qid: str) -> ImageRef | None:
+        if not (isinstance(raw, dict) and isinstance(raw.get("path"), str) and isinstance(raw.get("domain_tag"), str)):
+            issue(f"question {qid}: image needs path and domain_tag")
+            return None
+        checked = len(issues)
+        tag = raw["domain_tag"]
+        if tag not in vocabulary:
+            issue(f"question {qid}: tag {tag!r} is not in the tag vocabulary", "UnknownTag")
+        path = os.path.join(base_dir, raw["path"])
+        media_type = IMAGE_MEDIA_TYPES.get(os.path.splitext(path)[1].lower())
+        if media_type is None:
+            issue(f"question {qid}: image {os.path.basename(path)!r} is not a JPEG or PNG file")
+        # False, not an error, for a name the file system refuses, such as one too long.
+        if not os.path.isfile(path) or not os.access(path, os.R_OK):
+            issue(f"question {qid}: image file {path!r} is not readable", "MissingImage")
+        if len(issues) > checked:
+            return None
+        return ImageRef(path=path, domain_tag=tag, media_type=media_type)
+
     quizzes: list[Quiz] = []
     for qz in quizzes_raw:
-        quiz = _parse_quiz(qz, base_dir, vocabulary, seen_question_ids, seen_quiz_ids, issues)
+        quiz = parse_quiz(qz)
         if quiz is not None:
             quizzes.append(quiz)
 
@@ -219,7 +326,7 @@ def _choice_records() -> Callable[[dict], dict]:
     and ``text`` becomes a tuple of ``Choice`` records, so each question's
     choice objects are freed as it is parsed. Equal (letter, text) pairs in
     one manifest share one record, built the first time the pair is seen.
-    ``_parse_choices`` checks the count and the letters."""
+    ``load_corpus`` checks the count and the letters."""
     records: defaultdict[str, dict[str, Choice]] = defaultdict(dict)
 
     def hook(obj: dict) -> dict:
@@ -238,159 +345,4 @@ def _choice_records() -> Callable[[dict], dict]:
         return obj
 
     return hook
-
-
-def _parse_quiz(
-    qz: object,
-    base_dir: str,
-    vocabulary: frozenset[str],
-    seen_question_ids: set[str],
-    seen_quiz_ids: set[str],
-    issues: list[ValidationIssue],
-) -> Quiz | None:
-    if not isinstance(qz, dict):
-        issues.append(ValidationIssue("MalformedManifest", "quiz entry must be an object"))
-        return None
-    quiz_id = qz.get("id")
-    title = qz.get("title", "")
-    questions_raw = qz.get("questions")
-    if not isinstance(quiz_id, str) or not quiz_id:
-        issues.append(ValidationIssue("MalformedManifest", "quiz id must be a non-empty string"))
-        return None
-    if not is_utf8(quiz_id):
-        issues.append(ValidationIssue("MalformedManifest", f"quiz id {quiz_id!r} is not writable as UTF-8"))
-        return None
-    if quiz_id in seen_quiz_ids:
-        issues.append(ValidationIssue("DuplicateId", f"quiz id {quiz_id!r} appears more than once"))
-        return None
-    seen_quiz_ids.add(quiz_id)
-    if not isinstance(title, str):
-        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: title must be a string"))
-        title = ""
-    if not isinstance(questions_raw, list):
-        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: questions must be an array"))
-        return None
-
-    questions: list[Question] = []
-    for entry in questions_raw:
-        q = _parse_question(entry, quiz_id, base_dir, vocabulary, seen_question_ids, issues)
-        if q is not None:
-            questions.append(q)
-    return Quiz(id=quiz_id, title=title, questions=tuple(questions))
-
-
-def _parse_question(
-    entry: object,
-    quiz_id: str,
-    base_dir: str,
-    vocabulary: frozenset[str],
-    seen_question_ids: set[str],
-    issues: list[ValidationIssue],
-) -> Question | None:
-    if not isinstance(entry, dict):
-        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: question entry must be an object"))
-        return None
-    qid = entry.get("id")
-    if not isinstance(qid, str) or not qid:
-        issues.append(ValidationIssue("MalformedManifest", f"quiz {quiz_id}: question id must be a non-empty string"))
-        return None
-    if qid in seen_question_ids:
-        issues.append(ValidationIssue("DuplicateId", f"question id {qid!r} appears more than once"))
-        return None
-    seen_question_ids.add(qid)
-
-    ok = True
-    stem = entry.get("stem")
-    if not isinstance(stem, str):
-        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: stem must be a string"))
-        ok = False
-
-    choices = _parse_choices(entry.get("choices"), qid, issues)
-    if choices is None:
-        ok = False
-
-    correct = entry.get("correct_letter")
-    if not isinstance(correct, str):
-        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: correct_letter must be a string"))
-        ok = False
-    elif choices is not None and correct not in tuple(c.letter for c in choices):
-        issues.append(
-            ValidationIssue(
-                "InvalidCorrectLetter",
-                f"question {qid}: correct_letter {correct!r} is not among the choice letters",
-            )
-        )
-        ok = False
-
-    explanation = entry.get("explanation")
-    if not isinstance(explanation, str) or not explanation.strip():
-        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: explanation must be non-empty"))
-        ok = False
-
-    image = _parse_image(entry.get("image"), qid, base_dir, vocabulary, issues)
-    if image is None:
-        ok = False
-
-    if not ok:
-        return None
-    return Question(
-        id=qid,
-        quiz_id=quiz_id,
-        stem=stem,
-        choices=choices,
-        correct_letter=correct,
-        explanation=explanation,
-        image=image,
-    )
-
-
-def _parse_choices(raw: object, qid: str, issues: list[ValidationIssue]) -> tuple[Choice, ...] | None:
-    if not isinstance(raw, (list, tuple)) or not (MIN_CHOICES <= len(raw) <= MAX_CHOICES):
-        issues.append(
-            ValidationIssue(
-                "MalformedManifest",
-                f"question {qid}: choices must be an array of {MIN_CHOICES}-{MAX_CHOICES} entries",
-            )
-        )
-        return None
-    # _choice_records leaves an array a list only if an entry lacks a string letter or text.
-    if isinstance(raw, list):
-        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: each choice needs letter and text"))
-        return None
-    letters = tuple(c.letter for c in raw)
-    if letters != tuple(LETTER_SEQUENCE[: len(letters)]):
-        issues.append(
-            ValidationIssue(
-                "MalformedManifest",
-                f"question {qid}: choice letters must be A..{LETTER_SEQUENCE[len(letters) - 1]} in order, got {letters}",
-            )
-        )
-        return None
-    return raw
-
-
-def _parse_image(
-    raw: object, qid: str, base_dir: str, vocabulary: frozenset[str], issues: list[ValidationIssue]
-) -> ImageRef | None:
-    if not isinstance(raw, dict) or not isinstance(raw.get("path"), str) or not isinstance(raw.get("domain_tag"), str):
-        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: image needs path and domain_tag"))
-        return None
-    tag = raw["domain_tag"]
-    ok = True
-    if tag not in vocabulary:
-        issues.append(ValidationIssue("UnknownTag", f"question {qid}: tag {tag!r} is not in the tag vocabulary"))
-        ok = False
-    path = os.path.join(base_dir, raw["path"])
-    media_type = IMAGE_MEDIA_TYPES.get(os.path.splitext(path)[1].lower())
-    if media_type is None:
-        name = os.path.basename(path)
-        issues.append(ValidationIssue("MalformedManifest", f"question {qid}: image {name!r} is not a JPEG or PNG file"))
-        ok = False
-    # False, not an error, for a name the file system refuses, such as one too long.
-    if not os.path.isfile(path) or not os.access(path, os.R_OK):
-        issues.append(ValidationIssue("MissingImage", f"question {qid}: image file {path!r} is not readable"))
-        ok = False
-    if not ok:
-        return None
-    return ImageRef(path=path, domain_tag=tag, media_type=media_type)
 

@@ -54,6 +54,14 @@ class RulesOfConduct:
             raise MarkerMissingError(f"rules of conduct must contain the marker {ANSWER_MARKER!r}")
 
 
+def _ascii_netloc(netloc: str) -> str:
+    """A URL's host and port as the request head carries them: without the
+    userinfo, and IDNA-encoded if not ASCII. A host that IDNA cannot encode,
+    such as one with an empty label, raises UnicodeError."""
+    netloc = netloc.rpartition("@")[2]
+    return netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Settings for the completion endpoint under evaluation."""
@@ -78,6 +86,10 @@ class EngineConfig:
         without_host = self.endpoint_url.replace(parsed.netloc, parsed.netloc.rpartition("@")[0], 1)
         if not without_host.isascii():
             raise ValueError(f"endpoint_url has a non-ASCII character outside its host: {self.endpoint_url!r}")
+        try:
+            _ascii_netloc(parsed.netloc)
+        except UnicodeError as exc:
+            raise ValueError(f"endpoint_url has a host that IDNA cannot encode: {self.endpoint_url!r}") from exc
         if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
 

@@ -750,7 +750,8 @@ def test_float_setting_is_the_same_from_flag_and_config(sample_paths, tmp_path, 
     ("endpoint-config", "error: ConfigError: endpoint_url contains whitespace or a control character"),
     ("non-ascii-path", "error: ConfigError: endpoint_url has a non-ASCII character outside its host"),
     ("proxy-without-host", "error: ValueError: the http proxy URL names no host"),
-], ids=["key", "endpoint-flag", "endpoint-config", "non-ascii-path", "proxy-without-host"])
+    ("non-idna-host", "error: ConfigError: endpoint_url has a host that IDNA cannot encode: 'http://bü..example/v1'"),
+], ids=["key", "endpoint-flag", "endpoint-config", "non-ascii-path", "proxy-without-host", "non-idna-host"])
 def test_unsendable_request_exits_one_before_any_request(command, case, said, analyzed, sample_paths, tmp_path,
                                                          capsys, monkeypatch):
     opened = []
@@ -767,6 +768,7 @@ def test_unsendable_request_exits_one_before_any_request(command, case, said, an
     monkeypatch.setenv("http_proxy", "http://user:sk-secret-proxy@" if case == "proxy-without-host" else "")
     endpoint = {"key": "http://127.0.0.1:9/v1/chat/completions", "non-ascii-path": "http://127.0.0.1:9/v1/chät",
                 "proxy-without-host": "http://hostless-proxy.invalid/v1/chat/completions",
+                "non-idna-host": "http://bü..example/v1",
                 }.get(case, "http://127.0.0.1:9/v1/chat completions")
     run_out, _ = analyzed
     out = tmp_path / "out"

@@ -580,8 +580,11 @@ class TestDefaultTransport:
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % len(DOC) + DOC[:-5],
         b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}",
         b" \r\n\r\n{}",
+        # Declared lengths no read could ask for at once; the peer sends two bytes of them.
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % 2**62,
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n{}" % 2**64,
     ], ids=["long-header-line", "101-header-lines", "bad-chunk-size", "negative-chunk-size", "cut-off-in-a-chunk",
-            "bad-status-line", "blank-status-line"])
+            "bad-status-line", "blank-status-line", "huge-content-length", "huge-chunk-size"])
     def test_bad_reply_is_transport_after_one_attempt(self, wire, loopback, monkeypatch):
         monkeypatch.setattr(client, "MAX_RETRIES", 0)
         server = loopback(raw(wire))

@@ -218,6 +218,34 @@ class TestLoadCorpus:
             load_corpus(path)
         assert issue_kinds(excinfo.value) >= {"InvalidCorrectLetter", "UnknownTag"}
 
+        # A quiz's title is reported before its questions' issues.
+        titled = make_manifest({"qz1": [make_question("q1", correct="F")]})
+        _set_quiz(titled, title=5)
+        with pytest.raises(CorpusValidationError) as excinfo:
+            load_corpus(manifest_factory(titled, dirname="titled"))
+        assert excinfo.value.issues == (
+            ValidationIssue("MalformedManifest", "quiz qz1: title must be a string"),
+            ValidationIssue("InvalidCorrectLetter", "question q1: correct_letter 'F' is not among the choice letters"),
+        )
+
+        # Within a question: stem, choices, correct letter, explanation, then the image's tag, type and file.
+        broken = make_manifest({"qz1": [make_question("q1", tag="XYZZY", image="images/q1.gif", stem=None,
+                                                      explanation=" ", n_choices=1)]})
+        _set_question(broken, correct_letter=0)
+        path = manifest_factory(broken, create_images=False, dirname="broken")
+        image = str(path.parent / "images" / "q1.gif")
+        with pytest.raises(CorpusValidationError) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.issues == (
+            ValidationIssue("MalformedManifest", "question q1: stem must be a string"),
+            ValidationIssue("MalformedManifest", "question q1: choices must be an array of 2-5 entries"),
+            ValidationIssue("MalformedManifest", "question q1: correct_letter must be a string"),
+            ValidationIssue("MalformedManifest", "question q1: explanation must be non-empty"),
+            ValidationIssue("UnknownTag", "question q1: tag 'XYZZY' is not in the tag vocabulary"),
+            ValidationIssue("MalformedManifest", "question q1: image 'q1.gif' is not a JPEG or PNG file"),
+            ValidationIssue("MissingImage", f"question q1: image file {image!r} is not readable"),
+        )
+
 
 
 def _set_quiz(manifest: dict, **fields) -> None:

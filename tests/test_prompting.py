@@ -139,6 +139,7 @@ class TestEngineConfig:
         {"temperature": float("inf")},
         {"endpoint_url": "http://127.0.0.1:9/v1/chät"},
         {"endpoint_url": "http://host/v1?q=ä"},
+        {"endpoint_url": "http://bü..example/v1"},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
